@@ -1,15 +1,12 @@
 """Experiment runners: each builds a plot-ready table of rows.
 
-Sweep points are independent; tables are computed on a small worker pool
-but always emitted in sweep order, so identical configurations produce
+Tables are emitted in sweep order, so identical configurations produce
 identical files.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +48,6 @@ class TableResult:
     columns: tuple
     rows: list
     provenance: tuple
-
-
-def _pool_map(fn, items) -> list:
-    workers = min(8, os.cpu_count() or 1, max(1, len(items)))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def amplify_table(
@@ -205,37 +194,32 @@ def fig3_table(
     if gains is None:
         gains = np.linspace(1.0, 3.5, 51)
     gains = [float(g) for g in gains]
-    points = [(eta, complex(alpha)) for eta in etas for alpha in alphas]
-
-    def run(point):
-        eta, alpha = point
+    rows = []
+    for eta in etas:
         g_dev = gain_from_eta(eta)
-        c = cutoff or max(
-            minimal_coherent_cutoff(alpha),
-            minimal_coherent_cutoff(max(gains) * abs(alpha)),
-            arms + 1,
-        )
-        out, herald = nla_apply(
-            coherent_state(alpha, c), nla_operator(arms, eta, c)
-        )
-        prob = herald.success_probability
-        rows = []
-        for g_t in gains:
-            fid = fidelity(out, coherent_state(g_t * alpha, c))
-            rows.append(
-                {
-                    "eta": eta,
-                    "alpha": alpha.real,
-                    "target_gain": g_t,
-                    "fidelity": fid,
-                    "success_prob": prob,
-                    "success_prob_pct": 100.0 * prob,
-                    "device_gain": g_dev,
-                }
+        for alpha in map(complex, alphas):
+            c = cutoff or max(
+                minimal_coherent_cutoff(alpha),
+                minimal_coherent_cutoff(max(gains) * abs(alpha)),
+                arms + 1,
             )
-        return rows
-
-    rows = [row for chunk in _pool_map(run, points) for row in chunk]
+            out, herald = nla_apply(
+                coherent_state(alpha, c), nla_operator(arms, eta, c)
+            )
+            prob = herald.success_probability
+            for g_t in gains:
+                fid = fidelity(out, coherent_state(g_t * alpha, c))
+                rows.append(
+                    {
+                        "eta": eta,
+                        "alpha": alpha.real,
+                        "target_gain": g_t,
+                        "fidelity": fid,
+                        "success_prob": prob,
+                        "success_prob_pct": 100.0 * prob,
+                        "device_gain": g_dev,
+                    }
+                )
     columns = (
         "eta",
         "alpha",
@@ -267,25 +251,11 @@ def fig4_table(
         gains = np.linspace(1.0, 3.0, 9)
     gains = [float(g) for g in gains]
 
-    def run(gain):
-        (row,) = distill_purity_tradeoff(
-            [gain], epsilon=loss, target_r=target_r, arm_count=arms, cutoff=cutoff
-        )
-        prob = row["success_prob"]
-        return {
-            "chi_source": row["chi_source"],
-            "gain": gain,
-            "arms": arms,
-            "eta": row["eta"],
-            "success_prob": prob,
-            "success_prob_pct": 100.0 * prob,
-            "v_minus": row["v_minus"],
-            "v_plus": row["v_plus"],
-            "product": row["product"],
-            "fidelity": row["fidelity"],
-        }
-
-    rows = _pool_map(run, gains)
+    rows = distill_purity_tradeoff(
+        gains, epsilon=loss, target_r=target_r, arm_count=arms, cutoff=cutoff
+    )
+    for row in rows:
+        row["success_prob_pct"] = 100.0 * row["success_prob"]
     columns = (
         "chi_source",
         "gain",

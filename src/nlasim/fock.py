@@ -33,51 +33,11 @@ def _frozen_array(values, dtype=np.complex128) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class FockVector:
-    """Single-mode state vector over the basis |0>, ..., |cutoff-1>.
-
-    ``normalized`` flags vectors whose squared norm is within ``NORM_TOL``
-    of one. Heralded outputs are left unnormalized on purpose: their
-    squared norm is the success probability.
-    """
-
-    cutoff: int
-    amplitudes: np.ndarray = field(repr=False)
-    normalized: bool = False
-
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-        amps = _frozen_array(self.amplitudes)
-        if amps.shape != (self.cutoff,):
-            raise ValueError(
-                f"expected {self.cutoff} amplitudes, got shape {amps.shape}"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-        if self.normalized and abs(norm_sq(self) - 1.0) > NORM_TOL:
-            raise ValueError("state flagged normalized but norm**2 != 1")
-
-    def as_multimode(self) -> "MultiModeState":
-        return MultiModeState((self.cutoff,), self.amplitudes, self.normalized)
-
-    def normalize(self) -> "FockVector":
-        n2 = norm_sq(self)
-        if n2 <= 0.0:
-            raise ValueError("cannot normalize a zero vector")
-        return FockVector(self.cutoff, self.amplitudes / math.sqrt(n2), True)
-
-    def __repr__(self):
-        return (
-            f"FockVector(cutoff={self.cutoff}, norm_sq={norm_sq(self):.6g}, "
-            f"normalized={self.normalized})"
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class MultiModeState:
-    """Pure state of several modes, one cutoff per mode.
+    """Pure state of one or more modes, one cutoff per mode.
 
-    The amplitude tensor has shape ``mode_cutoffs``. The squared norm may
+    The amplitude tensor has shape ``mode_cutoffs``; a single-mode state
+    over |0>, ..., |c-1> has ``mode_cutoffs == (c,)``. The squared norm may
     be below one (heralding amplitude) but never above it.
     """
 
@@ -103,11 +63,6 @@ class MultiModeState:
     @property
     def n_modes(self) -> int:
         return len(self.mode_cutoffs)
-
-    def as_fock(self) -> FockVector:
-        if self.n_modes != 1:
-            raise ValueError("only single-mode states convert to FockVector")
-        return FockVector(self.mode_cutoffs[0], self.amplitudes, self.normalized)
 
     def normalize(self) -> "MultiModeState":
         n2 = norm_sq(self)
@@ -192,10 +147,10 @@ class ModeOperator:
             )
         object.__setattr__(self, "matrix", mat)
 
-    def apply(self, state: FockVector) -> FockVector:
-        if state.cutoff != self.in_cutoff:
+    def apply(self, state: MultiModeState) -> MultiModeState:
+        if _pure(state).mode_cutoffs != (self.in_cutoff,):
             raise ValueError("cutoff mismatch")
-        return FockVector(self.out_cutoff, self.matrix @ state.amplitudes)
+        return MultiModeState((self.out_cutoff,), self.matrix @ state.amplitudes)
 
     def __repr__(self):
         return f"ModeOperator({self.in_cutoff} -> {self.out_cutoff})"
@@ -205,16 +160,16 @@ class ModeOperator:
 # constructors
 
 
-def number_state(n: int, cutoff: int) -> FockVector:
+def number_state(n: int, cutoff: int) -> MultiModeState:
     """Basis state |n> at the given cutoff."""
     if not 0 <= n < cutoff:
         raise ValueError(f"photon number {n} outside basis of size {cutoff}")
     amps = np.zeros(cutoff, dtype=np.complex128)
     amps[n] = 1.0
-    return FockVector(cutoff, amps, normalized=True)
+    return MultiModeState((cutoff,), amps, normalized=True)
 
 
-def vacuum(cutoff: int = 1) -> FockVector:
+def vacuum(cutoff: int = 1) -> MultiModeState:
     return number_state(0, cutoff)
 
 
@@ -239,7 +194,7 @@ def coherent_state(
     *,
     strict: bool = False,
     tail_tol: float = DEFAULT_TAIL_TOL,
-) -> FockVector:
+) -> MultiModeState:
     """Coherent state with complex amplitude ``alpha``.
 
     amplitudes[n] = exp(-|alpha|**2 / 2) * alpha**n / sqrt(n!)
@@ -267,7 +222,7 @@ def coherent_state(
         warnings.warn(
             f"coherent state truncated: tail mass {tail:.3g}", TruncationWarning
         )
-    return FockVector(cutoff, amps, normalized=tail < NORM_TOL)
+    return MultiModeState((cutoff,), amps, normalized=tail < NORM_TOL)
 
 
 def minimal_epr_cutoff(chi: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
@@ -322,17 +277,15 @@ def annihilation(cutoff: int) -> np.ndarray:
 # composition and reduction
 
 
-def _as_multimode(state) -> MultiModeState:
-    if isinstance(state, FockVector):
-        return state.as_multimode()
-    if isinstance(state, MultiModeState):
-        return state
-    raise TypeError(f"expected a pure state, got {type(state).__name__}")
+def _pure(state) -> MultiModeState:
+    if not isinstance(state, MultiModeState):
+        raise TypeError(f"expected a pure state, got {type(state).__name__}")
+    return state
 
 
 def tensor(a, b) -> MultiModeState:
     """Kronecker composition of two pure states; cutoff lists concatenate."""
-    ma, mb = _as_multimode(a), _as_multimode(b)
+    ma, mb = _pure(a), _pure(b)
     amps = np.multiply.outer(ma.amplitudes, mb.amplitudes)
     return MultiModeState(
         ma.mode_cutoffs + mb.mode_cutoffs, amps, ma.normalized and mb.normalized
@@ -341,7 +294,7 @@ def tensor(a, b) -> MultiModeState:
 
 def project_number(state, mode: int, n: int) -> MultiModeState:
     """Project one mode onto |n> and drop it (unnormalized heralding)."""
-    mm = _as_multimode(state)
+    mm = _pure(state)
     if not 0 <= mode < mm.n_modes:
         raise ValueError(f"mode {mode} out of range")
     if mm.n_modes == 1:
@@ -353,9 +306,9 @@ def project_number(state, mode: int, n: int) -> MultiModeState:
     return MultiModeState(cutoffs, amps)
 
 
-def pad_state(state, new_cutoffs):
+def pad_state(state, new_cutoffs) -> MultiModeState:
     """Embed a pure state into larger per-mode cutoffs (zero padding)."""
-    mm = _as_multimode(state)
+    mm = _pure(state)
     new_cutoffs = tuple(int(c) for c in new_cutoffs)
     if len(new_cutoffs) != mm.n_modes:
         raise ValueError("cutoff list length != mode count")
@@ -363,13 +316,12 @@ def pad_state(state, new_cutoffs):
         raise ValueError("padding cannot shrink a cutoff")
     widths = [(0, n - o) for n, o in zip(new_cutoffs, mm.mode_cutoffs)]
     amps = np.pad(mm.amplitudes, widths)
-    out = MultiModeState(new_cutoffs, amps, mm.normalized)
-    return out.as_fock() if isinstance(state, FockVector) else out
+    return MultiModeState(new_cutoffs, amps, mm.normalized)
 
 
 def density_from_state(state) -> DensityOperator:
     """|psi><psi| over the flattened multimode basis."""
-    mm = _as_multimode(state)
+    mm = _pure(state)
     vec = mm.amplitudes.reshape(-1)
     return DensityOperator(mm.mode_cutoffs, np.outer(vec, vec.conj()))
 
@@ -385,7 +337,7 @@ def partial_trace(state, modes_to_trace) -> DensityOperator:
     if isinstance(state, DensityOperator):
         cutoffs = state.basis_cutoffs
     else:
-        cutoffs = _as_multimode(state).mode_cutoffs
+        cutoffs = _pure(state).mode_cutoffs
     n_modes = len(cutoffs)
     if any(not 0 <= m < n_modes for m in traced):
         raise ValueError(f"mode indices {traced} out of range for {n_modes} modes")
@@ -404,13 +356,12 @@ def partial_trace(state, modes_to_trace) -> DensityOperator:
         dim = math.prod(kept)
         return DensityOperator(kept, ten.reshape(dim, dim))
 
-    mm = _as_multimode(state)
     if not traced:
-        return density_from_state(mm)
+        return density_from_state(state)
     kept_idx = [i for i in range(n_modes) if i not in traced]
     perm = kept_idx + traced
     kept = tuple(cutoffs[i] for i in kept_idx)
-    block = np.transpose(mm.amplitudes, perm).reshape(math.prod(kept), -1)
+    block = np.transpose(state.amplitudes, perm).reshape(math.prod(kept), -1)
     return DensityOperator(kept, block @ block.conj().T)
 
 
@@ -422,7 +373,7 @@ def norm_sq(state) -> float:
     """Sum of |amplitude|**2, or the trace for a density operator."""
     if isinstance(state, DensityOperator):
         return state.trace
-    if isinstance(state, (FockVector, MultiModeState)):
+    if isinstance(state, MultiModeState):
         flat = state.amplitudes.reshape(-1)
         return float(np.vdot(flat, flat).real)
     raise TypeError(f"unsupported type {type(state).__name__}")
@@ -449,7 +400,7 @@ def _coerce_comparable(state):
     """Return ("pure", tensor, cutoffs) or ("mixed", matrix, cutoffs)."""
     if isinstance(state, DensityOperator):
         return "mixed", state.matrix, state.basis_cutoffs
-    mm = _as_multimode(state)
+    mm = _pure(state)
     return "pure", mm.amplitudes, mm.mode_cutoffs
 
 

@@ -30,10 +30,9 @@ import numpy as np
 from .errors import NonconvergentError
 from .fock import (
     DensityOperator,
-    FockVector,
     ModeOperator,
     MultiModeState,
-    _as_multimode,
+    _pure,
     norm_sq,
     number_state,
     pad_state,
@@ -224,7 +223,7 @@ def nla_apply(state, op: DiagonalAmplifierOp, mode: int = 0):
         tr = float(np.trace(mat).real)
         return DensityOperator(cutoffs, mat), HeraldRecord(tr, 2**op.arm_count)
 
-    mm = _as_multimode(state)
+    mm = _pure(state)
     if not 0 <= mode < mm.n_modes:
         raise ValueError(f"mode {mode} out of range")
     if mm.mode_cutoffs[mode] > op.cutoff:
@@ -246,8 +245,6 @@ def nla_apply(state, op: DiagonalAmplifierOp, mode: int = 0):
     else:
         out = MultiModeState(mm.mode_cutoffs, amps)
         herald = HeraldRecord(norm_sq(out), 2**op.arm_count)
-    if isinstance(state, FockVector):
-        out = out.as_fock()
     return out, herald
 
 
@@ -272,7 +269,7 @@ def _flip_odd(state: MultiModeState, mode: int) -> MultiModeState:
 
 
 def _single_pattern_circuit(
-    inp: FockVector, arm_count: int, eta: float, signs
+    inp: MultiModeState, arm_count: int, eta: float, signs
 ) -> tuple[np.ndarray, float]:
     """Run the full circuit for one detector pattern per arm.
 
@@ -323,16 +320,21 @@ def _single_pattern_circuit(
         state = project_number(state, mode, 0)
     out_small = state.amplitudes.reshape(-1)
 
-    out = np.zeros(inp.cutoff, dtype=np.complex128)
-    length = min(inp.cutoff, out_small.size)
+    cutoff = inp.mode_cutoffs[0]
+    out = np.zeros(cutoff, dtype=np.complex128)
+    length = min(cutoff, out_small.size)
     out[:length] = out_small[:length]
     prob = float(np.vdot(out, out).real)
     return out, prob
 
 
 def physical_circuit(
-    inp: FockVector, arm_count: int, eta: float, *, oracle_limit: int = ORACLE_ARM_LIMIT
-) -> tuple[FockVector, HeraldRecord]:
+    inp: MultiModeState,
+    arm_count: int,
+    eta: float,
+    *,
+    oracle_limit: int = ORACLE_ARM_LIMIT,
+) -> tuple[MultiModeState, HeraldRecord]:
     """Brute-force simulation of the whole amplifier.
 
     Splits the input over N arms, runs each scissors stage as an actual
@@ -350,6 +352,8 @@ def physical_circuit(
         )
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
+    if _pure(inp).n_modes != 1:
+        raise ValueError("the circuit oracle takes a single-mode input")
     if norm_sq(inp) <= 0.0:
         raise ValueError("input state has zero norm")
 
@@ -362,7 +366,7 @@ def physical_circuit(
             reference = (out, prob)
     ref_out, ref_prob = reference
     scale = math.sqrt(total / ref_prob) if ref_prob > 0.0 else 0.0
-    vec = FockVector(inp.cutoff, ref_out * scale)
+    vec = MultiModeState(inp.mode_cutoffs, ref_out * scale)
     return vec, HeraldRecord(total, 2**arm_count)
 
 
@@ -372,7 +376,7 @@ def physical_circuit(
 
 def misfire_terms(
     alpha: complex, arm_count: int, eta: float, gamma: float, cutoff: int | None = None
-) -> tuple[FockVector, FockVector]:
+) -> tuple[MultiModeState, MultiModeState]:
     """The two first-order branches of a run with source efficiency 1 - gamma.
 
     The first branch is the fully heralded output scaled by sqrt(1 - gamma);
@@ -395,12 +399,12 @@ def misfire_terms(
         cutoff = arm_count + 1
     envelope = math.exp(-abs(alpha) ** 2 / 2.0)
 
-    def branch(arms: int, weight: float) -> FockVector:
+    def branch(arms: int, weight: float) -> MultiModeState:
         amps = np.zeros(cutoff, dtype=np.complex128)
         x = g * alpha / arm_count
         for n in range(min(arms, cutoff - 1) + 1):
             amps[n] = math.comb(arms, n) * x**n * math.sqrt(math.factorial(n))
-        return FockVector(cutoff, weight * envelope * amps)
+        return MultiModeState((cutoff,), weight * envelope * amps)
 
     first = branch(arm_count, math.sqrt(1.0 - gamma) * eta ** (arm_count / 2.0))
     second = branch(
@@ -428,5 +432,5 @@ def misfire_density(
     first, second = misfire_terms(alpha, arm_count, eta, gamma, cutoff)
     mat = np.outer(first.amplitudes, first.amplitudes.conj())
     mat = mat + np.outer(second.amplitudes, second.amplitudes.conj())
-    rho = DensityOperator((first.cutoff,), mat)
+    rho = DensityOperator(first.mode_cutoffs, mat)
     return rho.normalize() if normalized else rho

@@ -23,9 +23,8 @@ import numpy as np
 from .errors import TruncationError
 from .fock import (
     DensityOperator,
-    FockVector,
     MultiModeState,
-    _as_multimode,
+    _pure,
     number_state,
     partial_trace,
     tensor,
@@ -147,7 +146,7 @@ def apply_beamsplitter(
     ``TruncationError`` once their probability mass exceeds
     ``overflow_tol``; below that they are dropped with the norm budget.
     """
-    mm = _as_multimode(state)
+    mm = _pure(state)
     i, j = spec.mode_pair
     if max(i, j) >= mm.n_modes:
         raise ValueError(f"mode pair {spec.mode_pair} out of range")
@@ -179,7 +178,7 @@ def apply_beamsplitter(
 
 def apply_nsplitter(state, spec: NsplitterSpec, inverse: bool = False):
     """Apply the even-split cascade (or its inverse) to an N-mode state."""
-    mm = _as_multimode(state)
+    mm = _pure(state)
     if mm.n_modes != spec.arm_count:
         raise ValueError(
             f"state has {mm.n_modes} modes, splitter expects {spec.arm_count}"
@@ -196,16 +195,15 @@ def apply_nsplitter(state, spec: NsplitterSpec, inverse: bool = False):
 
 def phase_shift(state, theta: float, mode: int = 0):
     """Multiply the |n> amplitude of one mode by exp(i n theta)."""
-    mm = _as_multimode(state)
+    mm = _pure(state)
     if not 0 <= mode < mm.n_modes:
         raise ValueError(f"mode {mode} out of range")
     phases = np.exp(1j * theta * np.arange(mm.mode_cutoffs[mode]))
     shape = [1] * mm.n_modes
     shape[mode] = -1
-    out = MultiModeState(
+    return MultiModeState(
         mm.mode_cutoffs, mm.amplitudes * phases.reshape(shape), mm.normalized
     )
-    return out.as_fock() if isinstance(state, FockVector) else out
 
 
 def _loss_kraus(cutoff: int, epsilon: float) -> list:
@@ -248,7 +246,7 @@ def loss_channel(state, epsilon: float, mode: int = 0, keep_environment: bool = 
             out += full @ state.matrix @ full.conj().T
         return DensityOperator(cutoffs, out)
 
-    mm = _as_multimode(state)
+    mm = _pure(state)
     if not 0 <= mode < mm.n_modes:
         raise ValueError(f"mode {mode} out of range")
     env_cutoff = mm.mode_cutoffs[mode]

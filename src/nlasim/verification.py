@@ -15,20 +15,20 @@ from .applications import (
     sample_postselected_variance,
 )
 from .errors import NonconvergentError
-from .fock import FockVector, epr_state, fidelity, norm_sq
+from .fock import MultiModeState, epr_state, fidelity, norm_sq
 from . import nla
 
 ORACLE_FIDELITY_TOL = 1e-10
 ORACLE_PROB_TOL = 1e-9
 
 
-def random_support_state(rng, cutoff: int, max_support: int) -> FockVector:
+def random_support_state(rng, cutoff: int, max_support: int) -> MultiModeState:
     """Normalized random vector supported on |0>..|max_support>."""
     amps = np.zeros(cutoff, dtype=np.complex128)
     live = min(max_support + 1, cutoff)
     amps[:live] = rng.normal(size=live) + 1j * rng.normal(size=live)
     amps /= math.sqrt(float(np.vdot(amps, amps).real))
-    return FockVector(cutoff, amps, normalized=True)
+    return MultiModeState((cutoff,), amps, normalized=True)
 
 
 def oracle_equivalence_report(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlasim import DensityOperator, FockVector, MultiModeState
+from nlasim import DensityOperator, MultiModeState
 
 
 @pytest.fixture
@@ -9,12 +9,12 @@ def rng():
     return np.random.default_rng(20240917)
 
 
-def random_fock(rng, cutoff, support=None) -> FockVector:
+def random_fock(rng, cutoff, support=None) -> MultiModeState:
     live = cutoff if support is None else min(support + 1, cutoff)
     amps = np.zeros(cutoff, dtype=np.complex128)
     amps[:live] = rng.normal(size=live) + 1j * rng.normal(size=live)
     amps /= np.linalg.norm(amps)
-    return FockVector(cutoff, amps, normalized=True)
+    return MultiModeState((cutoff,), amps, normalized=True)
 
 
 def random_multimode(rng, cutoffs, max_total=None) -> MultiModeState:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from nlasim import (
+    BeamsplitterSpec,
     DensityOperator,
-    FockVector,
+    MultiModeState,
     TruncationError,
     TruncationWarning,
+    apply_beamsplitter,
     coherent_state,
     density_from_state,
     epr_state,
@@ -175,7 +177,9 @@ class TestFidelity:
     def test_unity_iff_equal_up_to_phase(self, rng):
         for _ in range(20):
             a = random_fock(rng, 5)
-            phased = FockVector(5, a.amplitudes * np.exp(0.83j), normalized=True)
+            phased = MultiModeState(
+                (5,), a.amplitudes * np.exp(0.83j), normalized=True
+            )
             assert fidelity(a, phased) == pytest.approx(1.0, abs=1e-12)
             b = random_fock(rng, 5)
             overlap = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
@@ -204,7 +208,7 @@ class TestFidelity:
         assert fidelity(rho, sig) == pytest.approx(want, abs=1e-8)
 
     def test_zero_norm_rejected(self):
-        dead = FockVector(3, np.zeros(3))
+        dead = MultiModeState((3,), np.zeros(3))
         with pytest.raises(ValueError):
             fidelity(dead, vacuum(3))
 
@@ -216,20 +220,33 @@ class TestFidelity:
 class TestInvariantsAndPlumbing:
     def test_norm_sq_examples(self):
         assert norm_sq(vacuum(4)) == pytest.approx(1.0)
-        half = FockVector(2, np.array([0.5, 0.0]))
+        half = MultiModeState((2,), np.array([0.5, 0.0]))
         assert norm_sq(half) == pytest.approx(0.25)
 
     def test_normalize_restores_unit_norm(self):
-        half = FockVector(2, np.array([0.5, 0.0]))
+        half = MultiModeState((2,), np.array([0.5, 0.0]))
         assert norm_sq(normalize(half)) == pytest.approx(1.0)
         with pytest.raises(ValueError):
-            normalize(FockVector(2, np.zeros(2)))
+            normalize(MultiModeState((2,), np.zeros(2)))
 
     def test_multimode_norm_cap(self):
-        from nlasim import MultiModeState
-
         with pytest.raises(ValueError):
             MultiModeState((2, 2), np.full((2, 2), 1.0, dtype=complex))
+        with pytest.raises(ValueError):
+            MultiModeState((2,), np.array([1.0, 0.5], dtype=complex))
+
+    @pytest.mark.parametrize(
+        "bad", [DensityOperator((2,), np.eye(2) / 2.0), [1.0, 0.0]]
+    )
+    def test_pure_state_functions_reject_non_states(self, bad):
+        with pytest.raises(TypeError):
+            tensor(bad, vacuum(2))
+        with pytest.raises(TypeError):
+            tensor(vacuum(2), bad)
+        with pytest.raises(TypeError):
+            pad_state(bad, (3,))
+        with pytest.raises(TypeError):
+            apply_beamsplitter(bad, BeamsplitterSpec(0.5, (0, 1)))
 
     def test_density_validation(self, rng):
         mat = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
@@ -244,7 +261,7 @@ class TestInvariantsAndPlumbing:
     def test_pad_state(self):
         state = coherent_state(0.3, 5, tail_tol=1.0)
         padded = pad_state(state, (9,))
-        assert padded.cutoff == 9
+        assert padded.mode_cutoffs == (9,)
         assert np.allclose(padded.amplitudes[:5], state.amplitudes)
         assert np.all(padded.amplitudes[5:] == 0.0)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nlasim import (
+    MultiModeState,
     NonconvergentError,
     asymptotic_operator,
     coherent_state,
@@ -22,7 +23,6 @@ from nlasim import (
     success_probability_asymptotic,
     vacuum,
 )
-from nlasim import FockVector
 from conftest import random_fock
 
 
@@ -95,7 +95,7 @@ class TestApply:
     def test_half_transmissivity_is_pure_truncation(self, rng):
         # g = 1: any qubit-subspace state passes up to a constant
         amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-        state = FockVector(2, amps / np.linalg.norm(amps), normalized=True)
+        state = MultiModeState((2,), amps / np.linalg.norm(amps), normalized=True)
         for arms in (1, 2, 5):
             out, _ = nla_apply(state, nla_operator(arms, 0.5, 2))
             ratio = out.amplitudes / state.amplitudes

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nlasim import (
-    FockVector,
+    MultiModeState,
     fidelity,
     nla_apply,
     nla_operator,
@@ -16,6 +16,7 @@ from nlasim import (
     number_state,
     physical_circuit,
     scissor_outcome,
+    tensor,
     vacuum,
 )
 from nlasim.nla import _single_pattern_circuit
@@ -34,17 +35,18 @@ class TestSingleArm:
     def test_plus_state_hand_computation(self):
         eta = 0.3
         amps = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        state = FockVector(2, amps, normalized=True)
+        state = MultiModeState((2,), amps, normalized=True)
         out, herald = physical_circuit(state, 1, eta)
         assert herald.success_probability == pytest.approx(0.5, rel=1e-12)
         want = np.array([math.sqrt(eta), math.sqrt(1.0 - eta)])
-        assert fidelity(out, FockVector(2, want / np.linalg.norm(want))) > 1 - 1e-12
+        want = MultiModeState((2,), want / np.linalg.norm(want))
+        assert fidelity(out, want) > 1 - 1e-12
 
     def test_matches_analytic_kraus_per_pattern(self, rng):
         # single stage output = analytic Kraus / sqrt(2) for either pattern
         eta = 0.4
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = FockVector(4, amps / np.linalg.norm(amps), normalized=True)
+        state = MultiModeState((4,), amps / np.linalg.norm(amps), normalized=True)
         for sign in (+1, -1):
             raw, prob = _single_pattern_circuit(state, 1, eta, (sign,))
             kraus_out = scissor_outcome(eta, sign, 4).kraus.apply(state)
@@ -76,6 +78,10 @@ class TestPatternBookkeeping:
     def test_oracle_limit_enforced(self):
         with pytest.raises(ValueError):
             physical_circuit(vacuum(1), 5, 0.3)
+
+    def test_multimode_input_rejected(self):
+        with pytest.raises(ValueError):
+            physical_circuit(tensor(vacuum(2), vacuum(2)), 1, 0.3)
 
 
 class TestEquivalence:
