@@ -88,8 +88,19 @@ def lossy_epr(chi: float, epsilon: float, cutoff: int) -> DensityOperator:
 
 
 #: Largest cutoff the automatic sizing will pick: two-mode density
-#: operators cost memory and eigensolves like cutoff**4 and cutoff**6.
+#: operators cost memory and eigensolves like cutoff**4 and cutoff**6, and
+#: the two-mode beamsplitter matrix of cloning costs memory like cutoff**4.
 AUTO_CUTOFF_CAP = 40
+
+
+def _cap_auto_cutoff(cutoff: int, remedy: str) -> int:
+    if cutoff > AUTO_CUTOFF_CAP:
+        raise TruncationError(
+            f"this run needs cutoff {cutoff} (> {AUTO_CUTOFF_CAP}) to keep "
+            "truncation tails below 1e-12; pass an explicit cutoff to accept "
+            f"the cost, or {remedy}"
+        )
+    return cutoff
 
 
 def _distill_cutoff(chi: float, chi_prime: float, arm_count: int | None) -> int:
@@ -98,13 +109,7 @@ def _distill_cutoff(chi: float, chi_prime: float, arm_count: int | None) -> int:
         cutoff = max(cutoff, minimal_epr_cutoff(chi_prime))
     if arm_count is not None:
         cutoff = max(cutoff, arm_count + 1)
-    if cutoff > AUTO_CUTOFF_CAP:
-        raise TruncationError(
-            f"this run needs cutoff {cutoff} (> {AUTO_CUTOFF_CAP}) to keep "
-            "truncation tails below 1e-12; pass an explicit cutoff to accept "
-            "the cost, or lower the source squeezing or the gain"
-        )
-    return cutoff
+    return _cap_auto_cutoff(cutoff, "lower the source squeezing or the gain")
 
 
 def distill_numeric(
@@ -176,10 +181,13 @@ def clone_coherent(
     alpha = complex(alpha)
     gain = gain_from_eta(eta)
     if cutoff is None:
-        cutoff = max(
-            minimal_coherent_cutoff(gain * alpha),
-            minimal_coherent_cutoff(alpha),
-            (arm_count or 0) + 1,
+        cutoff = _cap_auto_cutoff(
+            max(
+                minimal_coherent_cutoff(gain * alpha),
+                minimal_coherent_cutoff(alpha),
+                (arm_count or 0) + 1,
+            ),
+            "lower alpha or the gain",
         )
     source = coherent_state(alpha, cutoff)
     if arm_count is None:
@@ -328,12 +336,15 @@ def distill_purity_tradeoff(
     transmissivity from the gain. Higher gain buys a purer output at a
     lower success probability.
     """
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("transmission must lie in [0, 1]")
     chi_target = math.tanh(target_r)
     rows = []
     for gain in gains:
+        # rejects gain <= 0 before it can zero or negate the boost
+        eta = eta_from_gain(gain)
         boost = 1.0 + (gain**2 - 1.0) * epsilon
         chi_source = chi_target / math.sqrt(boost)
-        eta = eta_from_gain(gain)
         rho, herald, fid = distill_numeric(
             chi_source, epsilon, arm_count, eta, cutoff
         )

@@ -6,8 +6,17 @@ configuration, the code version and the provenance of every analytic
 target recorded in the header. Identical configuration and seed give
 byte-identical files.
 
-Exit codes: 0 success, 1 configuration error, 2 invariant failure,
-3 nonconvergent-regime request.
+Each subcommand is one function that maps its parsed flags to a params
+dict, which is recorded as the header's config and passed to its table
+builder. The parser owns only flag-level rules: exclusive
+flags, finite numbers (``nan`` and ``inf`` are rejected) and positive
+counts for ``--arms``, ``--cutoff`` and ``--samples``. Every other range
+is checked by the library. ``--sweep NAME=A:B:N`` is taken only by fig3
+(names gain, alpha) and fig4 (name gain).
+
+Exit codes: 0 success, 1 configuration error (any rejected or
+out-of-range value, reported as one line on stderr), 2 invariant
+failure, 3 nonconvergent-regime request.
 """
 
 from __future__ import annotations
@@ -16,12 +25,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NonconvergentError, TruncationError
+from .errors import ConfigError, NonconvergentError
 from .experiments import (
     TableResult,
     amplify_table,
@@ -30,26 +38,8 @@ from .experiments import (
     fig3_table,
     fig4_table,
 )
+from .nla import eta_from_gain
 from .verification import analytic_identities_report, oracle_equivalence_report
-
-
-@dataclass
-class ExperimentConfig:
-    """Validated parameters of one CLI invocation."""
-
-    subcommand: str
-    params: dict = field(default_factory=dict)
-    sweeps: dict = field(default_factory=dict)
-    out: str | None = None
-    fmt: str = "csv"
-    seed: int = 0
-
-    def header_dict(self) -> dict:
-        cfg = {"subcommand": self.subcommand, "seed": self.seed, "format": self.fmt}
-        cfg.update({k: _jsonable(v) for k, v in sorted(self.params.items())})
-        for name, values in sorted(self.sweeps.items()):
-            cfg[f"sweep_{name}"] = [float(v) for v in values]
-        return cfg
 
 
 def _jsonable(value):
@@ -60,32 +50,67 @@ def _jsonable(value):
     return value
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_complex(text: str) -> complex:
-    """Parse "re,im" (or a bare real part) into a complex amplitude."""
+    """Parse "re,im" (or a bare real part) into a finite complex amplitude."""
     parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ConfigError(f"expected a complex amplitude as 're,im', got {text!r}")
+    if len(parts) <= 2:
+        try:
+            return complex(*map(_finite_float, parts))
+        except argparse.ArgumentTypeError:
+            pass
+    raise argparse.ArgumentTypeError(
+        f"expected a finite complex amplitude as 're,im', got {text!r}"
+    )
 
 
-def _parse_sweep(text: str):
-    """Parse "name=start:stop:steps" into (name, values)."""
-    try:
-        name, spec = text.split("=", 1)
-        start, stop, steps = spec.split(":")
-        steps = int(steps)
-        if steps < 1:
-            raise ValueError
-        return name.strip(), np.linspace(float(start), float(stop), steps)
-    except ValueError:
-        raise ConfigError(
-            f"expected a sweep as 'name=start:stop:steps', got {text!r}"
-        ) from None
+def _sweep_type(names):
+    """Type of a ``--sweep`` flag: "name=start:stop:steps" -> (name, values),
+    with the name restricted to ``names``."""
+
+    def parse(text: str):
+        try:
+            name, spec = text.split("=", 1)
+            start, stop, steps = spec.split(":")
+            values = np.linspace(
+                _finite_float(start), _finite_float(stop), _positive_int(steps)
+            )
+        except (ValueError, argparse.ArgumentTypeError):
+            raise argparse.ArgumentTypeError(
+                f"expected a sweep as 'name=start:stop:steps', got {text!r}"
+            ) from None
+        name = name.strip()
+        if name not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown sweep name {name!r} (choose from {', '.join(names)})"
+            )
+        return name, values
+
+    return parse
+
+
+def _sweep_kwargs(args) -> dict:
+    """Swept values as table-builder keyword arguments (gain -> gains)."""
+    return {f"{name}s": values for name, values in args.sweep}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,123 +118,80 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="nlasim", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _amplify(args):
+    if args.gain is not None:
+        eta = eta_from_gain(args.gain)
+    else:
+        eta = 1.0 / 3.0 if args.eta is None else args.eta
+    params = {
+        "alpha": args.alpha,
+        "fock": args.fock,
+        "arms": args.arms,
+        "eta": eta,
+        "gamma": args.gamma,
+        "asymptotic": args.asymptotic,
+        "cutoff": args.cutoff,
+    }
+    return params, amplify_table(**params)
 
-    def common(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cutoff", type=int, default=None)
-        p.add_argument("--sweep", action="append", default=[], metavar="NAME=A:B:N")
 
-    p = sub.add_parser("amplify", help="amplify one coherent or number state")
-    common(p)
-    p.add_argument("--alpha", type=_parse_complex, default=None, metavar="RE,IM")
-    p.add_argument("--fock", type=int, default=None, help="number-state input")
-    p.add_argument("--arms", type=int, default=2)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--gain", type=float, default=None)
-    p.add_argument("--asymptotic", action="store_true")
-    p.add_argument(
-        "--gamma",
-        type=float,
-        default=0.0,
-        help="single-photon source inefficiency; switches to the misfire model",
+def _fig3(args):
+    params = {
+        "arms": args.arms,
+        "etas": args.eta or [1.0 / 3.0, 1.0 / 7.0],
+        "cutoff": args.cutoff,
+    }
+    return params, fig3_table(**params, **_sweep_kwargs(args))
+
+
+def _fig4(args):
+    params = {
+        "arms": args.arms,
+        "loss": args.loss,
+        "squeeze_r": args.squeeze_r,
+        "cutoff": args.cutoff,
+    }
+    return params, fig4_table(**params, **_sweep_kwargs(args))
+
+
+def _distill(args):
+    params = {
+        "chi": args.chi if args.chi is not None else math.tanh(args.squeeze_r),
+        "loss": args.loss,
+        "arms": args.arms,
+        "eta": 0.05 if args.eta is None and args.gain is None else args.eta,
+        "gain": args.gain,
+        "asymptotic": args.asymptotic,
+        "target_r": args.target_r,
+        "cutoff": args.cutoff,
+    }
+    return params, distill_table(**params)
+
+
+def _clone(args):
+    arms = None if args.asymptotic else args.arms
+    params = {
+        "alpha": args.alpha,
+        "arms": arms,
+        "eta": args.eta,
+        "asymptotic": args.asymptotic,
+        "cutoff": args.cutoff,
+    }
+    # the builder reads an ideal run from arms=None
+    return params, clone_table(
+        alpha=args.alpha, arms=arms, eta=args.eta, cutoff=args.cutoff
     )
 
-    p = sub.add_parser("fig3", help="fidelity versus targeted gain table")
-    common(p)
-    p.add_argument("--arms", type=int, default=5)
-    p.add_argument("--eta", type=float, action="append", default=None)
 
-    p = sub.add_parser("fig4", help="purity versus success probability table")
-    common(p)
-    p.add_argument("--arms", type=int, default=2)
-    p.add_argument("--loss", type=float, default=0.5)
-    p.add_argument("--squeeze-r", type=float, default=0.4, dest="squeeze_r")
-
-    p = sub.add_parser("distill", help="one distillation run")
-    common(p)
-    p.add_argument("--chi", type=float, default=None)
-    p.add_argument("--squeeze-r", type=float, default=None, dest="squeeze_r")
-    p.add_argument("--loss", type=float, default=1.0)
-    p.add_argument("--arms", type=int, default=2)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--gain", type=float, default=None)
-    p.add_argument("--asymptotic", action="store_true")
-    p.add_argument("--target-r", type=float, default=None, dest="target_r")
-
-    p = sub.add_parser("clone", help="duplicate a coherent state")
-    common(p)
-    p.add_argument("--alpha", type=_parse_complex, default=None, metavar="RE,IM")
-    p.add_argument("--arms", type=int, default=None)
-    p.add_argument("--eta", type=float, default=1.0 / 3.0)
-    p.add_argument("--asymptotic", action="store_true")
-
-    p = sub.add_parser("verify", help="run the self-check suites")
-    common(p)
-    p.add_argument("--arms", type=int, default=None, help="extra arm count to try")
-    p.add_argument("--samples", type=int, default=1_000_000)
-
-    return parser
-
-
-def _require_range(name, value, lo, hi, lo_open=False, hi_open=False):
-    if value is None:
-        return
-    bad = value < lo or value > hi
-    bad = bad or (lo_open and value == lo) or (hi_open and value == hi)
-    if bad:
-        raise ConfigError(f"--{name} {value} outside the allowed range")
-
-
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
-def _write_table(config: ExperimentConfig, result: TableResult, stream):
-    meta = {
-        "tool": "nlasim",
-        "version": __version__,
-        "config": config.header_dict(),
-        "provenance": list(result.provenance),
-    }
-    if config.fmt == "json":
-        payload = dict(meta)
-        payload["columns"] = list(result.columns)
-        payload["rows"] = [
-            {k: _jsonable(row.get(k)) for k in result.columns} for row in result.rows
-        ]
-        stream.write(json.dumps(payload, indent=2, sort_keys=True))
-        stream.write("\n")
-        return
-    stream.write(f"# tool: nlasim {__version__}\n")
-    stream.write(f"# config: {json.dumps(meta['config'], sort_keys=True)}\n")
-    for line in result.provenance:
-        stream.write(f"# provenance: {line}\n")
-    stream.write(",".join(result.columns) + "\n")
-    for row in result.rows:
-        stream.write(",".join(_fmt_cell(row.get(c)) for c in result.columns) + "\n")
-
-
-def _run_verify(args, config: ExperimentConfig) -> tuple[TableResult, bool]:
+def _verify(args):
     arm_counts = [1, 2, 3]
     if args.arms is not None and args.arms not in arm_counts:
         arm_counts.append(args.arms)
     oracle = oracle_equivalence_report(
-        arm_counts=tuple(arm_counts), seed=config.seed
+        arm_counts=tuple(arm_counts), seed=args.seed
     )
     identities = analytic_identities_report(
-        seed=config.seed, mc_samples=args.samples
+        seed=args.seed, mc_samples=args.samples
     )
     rows = [
         {
@@ -277,172 +259,149 @@ def _run_verify(args, config: ExperimentConfig) -> tuple[TableResult, bool]:
         rows,
         ("self-check suites over the circuit oracle and the analytic maps",),
     )
-    passed = all(row["status"] != "fail" for row in rows)
-    return result, passed
+    return {"arms": args.arms, "samples": args.samples}, result
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="nlasim", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def command(name, run, help, sweeps=(), cutoff=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--seed", type=int, default=0)
+        if cutoff:
+            p.add_argument("--cutoff", type=_positive_int, default=None)
+        if sweeps:
+            p.add_argument(
+                "--sweep",
+                type=_sweep_type(sweeps),
+                action="append",
+                default=[],
+                metavar="NAME=A:B:N",
+                help=f"sweep one of: {', '.join(sweeps)}",
+            )
+        return p
+
+    p = command("amplify", _amplify, "amplify one coherent or number state")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--alpha", type=_parse_complex, metavar="RE,IM")
+    source.add_argument("--fock", type=int, help="number-state input")
+    p.add_argument("--arms", type=_positive_int, default=2)
+    strength = p.add_mutually_exclusive_group()
+    strength.add_argument("--eta", type=_finite_float, help="default 1/3")
+    strength.add_argument("--gain", type=_finite_float)
+    p.add_argument("--asymptotic", action="store_true")
+    p.add_argument(
+        "--gamma",
+        type=_finite_float,
+        default=0.0,
+        help="single-photon source inefficiency; switches to the misfire model",
+    )
+
+    p = command(
+        "fig3", _fig3, "fidelity versus targeted gain table", ("gain", "alpha")
+    )
+    p.add_argument("--arms", type=_positive_int, default=5)
+    p.add_argument("--eta", type=_finite_float, action="append", default=None)
+
+    p = command(
+        "fig4", _fig4, "purity versus success probability table", ("gain",)
+    )
+    p.add_argument("--arms", type=_positive_int, default=2)
+    p.add_argument("--loss", type=_finite_float, default=0.5)
+    p.add_argument("--squeeze-r", type=_finite_float, default=0.4, dest="squeeze_r")
+
+    p = command("distill", _distill, "one distillation run")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--chi", type=_finite_float)
+    source.add_argument("--squeeze-r", type=_finite_float, dest="squeeze_r")
+    p.add_argument("--loss", type=_finite_float, default=1.0)
+    p.add_argument("--arms", type=_positive_int, default=2)
+    strength = p.add_mutually_exclusive_group()
+    strength.add_argument("--eta", type=_finite_float, help="default 0.05")
+    strength.add_argument("--gain", type=_finite_float)
+    p.add_argument("--asymptotic", action="store_true")
+    p.add_argument("--target-r", type=_finite_float, default=None, dest="target_r")
+
+    p = command("clone", _clone, "duplicate a coherent state")
+    p.add_argument("--alpha", type=_parse_complex, required=True, metavar="RE,IM")
+    p.add_argument("--arms", type=_positive_int, default=5)
+    p.add_argument("--eta", type=_finite_float, default=1.0 / 3.0)
+    p.add_argument("--asymptotic", action="store_true")
+
+    p = command("verify", _verify, "run the self-check suites", cutoff=False)
+    p.add_argument(
+        "--arms", type=_positive_int, default=None, help="extra arm count to try"
+    )
+    p.add_argument("--samples", type=_positive_int, default=1_000_000)
+
+    return parser
+
+
+def _header_config(args, params: dict) -> dict:
+    cfg = {"subcommand": args.subcommand, "seed": args.seed, "format": args.format}
+    cfg.update((k, _jsonable(v)) for k, v in params.items())
+    for name, values in getattr(args, "sweep", ()):
+        cfg[f"sweep_{name}"] = [float(v) for v in values]
+    return cfg
+
+
+def _fmt_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def _write_table(config: dict, result: TableResult, stream):
+    meta = {
+        "tool": "nlasim",
+        "version": __version__,
+        "config": config,
+        "provenance": list(result.provenance),
+    }
+    if config["format"] == "json":
+        payload = dict(meta)
+        payload["columns"] = list(result.columns)
+        payload["rows"] = [
+            {k: _jsonable(row.get(k)) for k in result.columns} for row in result.rows
+        ]
+        stream.write(json.dumps(payload, indent=2, sort_keys=True))
+        stream.write("\n")
+        return
+    stream.write(f"# tool: nlasim {__version__}\n")
+    stream.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
+    for line in result.provenance:
+        stream.write(f"# provenance: {line}\n")
+    stream.write(",".join(result.columns) + "\n")
+    for row in result.rows:
+        stream.write(",".join(_fmt_cell(row.get(c)) for c in result.columns) + "\n")
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        sweeps = dict(_parse_sweep(s) for s in getattr(args, "sweep", []))
-        config = ExperimentConfig(
-            subcommand=args.subcommand,
-            sweeps=sweeps,
-            out=args.out,
-            fmt=args.format,
-            seed=args.seed,
-        )
-        exit_code = 0
-
-        if args.subcommand == "amplify":
-            if (args.alpha is None) == (args.fock is None):
-                raise ConfigError("give exactly one of --alpha / --fock")
-            if args.eta is not None and args.gain is not None:
-                raise ConfigError("give at most one of --eta / --gain")
-            eta = args.eta
-            if eta is None:
-                eta = (
-                    1.0 / (1.0 + args.gain**2) if args.gain is not None else 1.0 / 3.0
-                )
-            _require_range("eta", eta, 0.0, 1.0, lo_open=True, hi_open=True)
-            _require_range("gamma", args.gamma, 0.0, 1.0, hi_open=True)
-            if args.arms < 1:
-                raise ConfigError("--arms must be >= 1")
-            if args.gamma and (args.alpha is None or args.asymptotic):
-                raise ConfigError(
-                    "--gamma needs a coherent --alpha input at finite --arms"
-                )
-            config.params = {
-                "alpha": args.alpha,
-                "fock": args.fock,
-                "arms": args.arms,
-                "eta": eta,
-                "gamma": args.gamma,
-                "asymptotic": args.asymptotic,
-                "cutoff": args.cutoff,
-            }
-            result = amplify_table(
-                alpha=args.alpha,
-                fock_n=args.fock,
-                arms=args.arms,
-                eta=eta,
-                asymptotic=args.asymptotic,
-                cutoff=args.cutoff,
-                gamma=args.gamma,
-            )
-
-        elif args.subcommand == "fig3":
-            etas = tuple(args.eta) if args.eta else (1.0 / 3.0, 1.0 / 7.0)
-            for eta in etas:
-                _require_range("eta", eta, 0.0, 1.0, lo_open=True, hi_open=True)
-            if args.arms < 1:
-                raise ConfigError("--arms must be >= 1")
-            gains = sweeps.get("gain")
-            alphas = sweeps.get("alpha")
-            config.params = {
-                "arms": args.arms,
-                "etas": list(etas),
-                "cutoff": args.cutoff,
-            }
-            result = fig3_table(
-                arms=args.arms,
-                etas=etas,
-                alphas=tuple(alphas) if alphas is not None else (0.25, 0.5, 0.75, 1.0),
-                gains=gains,
-                cutoff=args.cutoff,
-            )
-
-        elif args.subcommand == "fig4":
-            _require_range("loss", args.loss, 0.0, 1.0)
-            if args.arms < 1:
-                raise ConfigError("--arms must be >= 1")
-            config.params = {
-                "arms": args.arms,
-                "loss": args.loss,
-                "squeeze_r": args.squeeze_r,
-                "cutoff": args.cutoff,
-            }
-            result = fig4_table(
-                arms=args.arms,
-                loss=args.loss,
-                target_r=args.squeeze_r,
-                gains=sweeps.get("gain"),
-                cutoff=args.cutoff,
-            )
-
-        elif args.subcommand == "distill":
-            if (args.chi is None) == (args.squeeze_r is None):
-                raise ConfigError("give exactly one of --chi / --squeeze-r")
-            chi = args.chi if args.chi is not None else math.tanh(args.squeeze_r)
-            _require_range("chi", chi, 0.0, 1.0, hi_open=True)
-            _require_range("loss", args.loss, 0.0, 1.0)
-            if args.eta is not None and args.gain is not None:
-                raise ConfigError("give at most one of --eta / --gain")
-            eta = args.eta
-            if eta is None and args.gain is None:
-                eta = 0.05
-            _require_range("eta", eta, 0.0, 1.0, lo_open=True, hi_open=True)
-            config.params = {
-                "chi": chi,
-                "loss": args.loss,
-                "arms": args.arms,
-                "eta": eta,
-                "gain": args.gain,
-                "asymptotic": args.asymptotic,
-                "target_r": args.target_r,
-                "cutoff": args.cutoff,
-            }
-            result = distill_table(
-                chi=chi,
-                loss=args.loss,
-                arms=args.arms,
-                eta=eta,
-                gain=args.gain,
-                cutoff=args.cutoff,
-                asymptotic=args.asymptotic,
-                target_r=args.target_r,
-            )
-
-        elif args.subcommand == "clone":
-            if args.alpha is None:
-                raise ConfigError("--alpha is required")
-            _require_range("eta", args.eta, 0.0, 1.0, lo_open=True, hi_open=True)
-            if args.arms is not None and args.arms < 1:
-                raise ConfigError("--arms must be >= 1")
-            arms = None if args.asymptotic else (args.arms or 5)
-            config.params = {
-                "alpha": args.alpha,
-                "arms": arms,
-                "eta": args.eta,
-                "asymptotic": args.asymptotic,
-                "cutoff": args.cutoff,
-            }
-            result = clone_table(
-                alpha=args.alpha, arms=arms, eta=args.eta, cutoff=args.cutoff
-            )
-
-        elif args.subcommand == "verify":
-            config.params = {"arms": args.arms, "samples": args.samples}
-            result, passed = _run_verify(args, config)
-            if not passed:
-                exit_code = 2
-
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown subcommand {args.subcommand!r}")
-
-        if config.out:
-            with open(config.out, "w", encoding="utf-8", newline="") as handle:
+        params, result = args.run(args)
+        config = _header_config(args, params)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 _write_table(config, result, handle)
         else:
             _write_table(config, result, sys.stdout)
-        return exit_code
-
-    except ConfigError as exc:
-        print(f"nlasim: configuration error: {exc}", file=sys.stderr)
-        return 1
-    except TruncationError as exc:
-        print(f"nlasim: configuration error: {exc}", file=sys.stderr)
-        return 1
     except NonconvergentError as exc:
         print(f"nlasim: nonconvergent regime: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # ConfigError and TruncationError are ValueErrors too
+        print(f"nlasim: configuration error: {exc}", file=sys.stderr)
+        return 1
+    # a table with a failed check (verify's status column) is an
+    # invariant failure
+    return 2 if any(row.get("status") == "fail" for row in result.rows) else 0

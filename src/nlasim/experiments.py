@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .applications import (
+    _cap_auto_cutoff,
     clone_coherent,
     clone_fidelities,
     distill_numeric,
@@ -24,6 +25,7 @@ from .fock import (
     epr_state,
     fidelity,
     minimal_coherent_cutoff,
+    minimal_epr_cutoff,
     norm_sq,
     number_state,
     purity,
@@ -53,7 +55,7 @@ class TableResult:
 def amplify_table(
     *,
     alpha: complex | None = None,
-    fock_n: int | None = None,
+    fock: int | None = None,
     arms: int = 2,
     eta: float = 1.0 / 3.0,
     asymptotic: bool = False,
@@ -69,8 +71,8 @@ def amplify_table(
     the two branches.
     """
     gain = gain_from_eta(eta)
-    if (alpha is None) == (fock_n is None):
-        raise ValueError("exactly one of alpha / fock_n must be given")
+    if (alpha is None) == (fock is None):
+        raise ValueError("exactly one of alpha / fock must be given")
     if gamma:
         if alpha is None or asymptotic:
             raise ValueError("the misfire model needs a coherent input at finite arms")
@@ -88,8 +90,8 @@ def amplify_table(
         if cutoff is None:
             # one slot of headroom keeps the ideal-map tail check off the
             # top basis entry
-            cutoff = max(fock_n + 2, arms + 1)
-        state = number_state(fock_n, cutoff)
+            cutoff = max(fock + 2, arms + 1)
+        state = number_state(fock, cutoff)
         target = state
 
     op = (
@@ -241,7 +243,7 @@ def fig4_table(
     *,
     arms: int = 2,
     loss: float = 0.5,
-    target_r: float = 0.4,
+    squeeze_r: float = 0.4,
     gains=None,
     cutoff: int | None = None,
 ) -> TableResult:
@@ -252,7 +254,7 @@ def fig4_table(
     gains = [float(g) for g in gains]
 
     rows = distill_purity_tradeoff(
-        gains, epsilon=loss, target_r=target_r, arm_count=arms, cutoff=cutoff
+        gains, epsilon=loss, target_r=squeeze_r, arm_count=arms, cutoff=cutoff
     )
     for row in rows:
         row["success_prob_pct"] = 100.0 * row["success_prob"]
@@ -270,7 +272,7 @@ def fig4_table(
     )
     prov = (
         f"protocol: channel transmission fixed at {loss}, distilled "
-        f"correlation fixed at tanh({target_r}); the source squeezing is "
+        f"correlation fixed at tanh({squeeze_r}); the source squeezing is "
         "chi_target / sqrt(1 + (g**2 - 1) * eps) and the stage "
         "transmissivity 1 / (1 + g**2)",
         "target of the fidelity column: two-mode squeezed state with the "
@@ -329,8 +331,14 @@ def distill_table(
         FIDELITY_NOTE,
     ]
     if target_r is not None:
-        target = epr_state(math.tanh(target_r))
-        fid_t = fidelity(rho, target)
+        chi_t = math.tanh(target_r)
+        if not 0.0 <= chi_t < 1.0:
+            raise ValueError(f"tanh(target_r) = {chi_t} lies outside [0, 1)")
+        target_cutoff = minimal_epr_cutoff(chi_t)
+        # the fidelity pads rho to the target's basis, at cutoff**4 memory
+        if target_cutoff > rho.basis_cutoffs[0]:
+            _cap_auto_cutoff(target_cutoff, "lower target_r")
+        fid_t = fidelity(rho, epr_state(chi_t, target_cutoff))
         row["target_r"] = target_r
         row["fidelity_vs_target_r"] = fid_t
         row["fidelity_vs_target_r_amplitude"] = math.sqrt(fid_t)

@@ -9,6 +9,7 @@ from nlasim import (
     clone_fidelities,
     distill_numeric,
     distill_params,
+    distill_purity_tradeoff,
     epr_state,
     fidelity,
     lossy_epr,
@@ -93,6 +94,13 @@ class TestDistillParams:
     def test_unphysical_flagged_not_raised(self):
         params = distill_params(0.6, 1.0, 2.0)
         assert not params.physical
+        # an out-of-range transmission is an input error: raised, and raised
+        # before the sweep's boost formula can take a square root of it
+        for bad_eps in (-0.5, 1.5):
+            with pytest.raises(ValueError, match="transmission"):
+                distill_params(0.2, bad_eps, 2.0)
+            with pytest.raises(ValueError, match="transmission"):
+                distill_purity_tradeoff([3.0], epsilon=bad_eps)
 
     def test_monotone_improvement(self):
         # both effective parameters increase whenever g > 1 on a lossy line

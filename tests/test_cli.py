@@ -1,7 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlasim.nla
 from nlasim import DiagonalAmplifierOp
@@ -199,3 +203,144 @@ class TestFigureTables:
         row = lines[1].split(",")
         assert float(row[cols.index("clone1_fidelity")]) == pytest.approx(1.0, abs=1e-9)
         assert float(row[cols.index("clone2_fidelity")]) == pytest.approx(1.0, abs=1e-9)
+
+
+# Each bad input exits 1 with one stderr line. The comment on each case
+# gives its exit code under the earlier CLI, which ran its own range checks
+# and caught only ConfigError and TruncationError: "1 by traceback" is the
+# interpreter's exit after an uncaught exception.
+BAD_INPUTS = [
+    "fig4 --sweep gain=0:0:1",  # 1 by traceback
+    "amplify --fock 3 --arms 2 --cutoff 2",  # 1 by traceback
+    "distill --chi 0.3 --arms 0",  # 1 by traceback
+    "amplify --alpha nan",  # 1 by traceback
+    "amplify --alpha inf",  # 1 by traceback
+    "distill --chi nan",  # 1 by traceback
+    "amplify --alpha 0.1 --cutoff 0",  # 1 by traceback
+    "clone --alpha 0.5 --cutoff 0",  # 1 by traceback
+    "verify --samples 0",  # 1 by traceback
+    "distill --chi 0.2 --loss 0.5 --gain -1.5",  # 1 by traceback
+    "fig4 --loss 1 --sweep gain=0:0:1",  # 1 by traceback
+    "clone --alpha=2,0.5 --eta 0.05",  # 1 by traceback: an 8.2 GiB matrix
+    "distill --chi 0.05 --target-r 2",  # 1 by traceback: a 304 GiB matrix
+    "amplify --alpha 0.1 --sweep eta=0.1:0.5:3",  # 0: sweep ignored
+    "fig3 --sweep bogus=1:2:2",  # 0: sweep ignored
+    "verify --cutoff 5",  # 0: cutoff ignored
+    "amplify --alpha 0.1 --gain -1.5",  # 0: ran at gain +1.5
+    "clone --alpha 0.5 --arms 0",  # 1
+    "amplify --alpha 0.1 --asymptotic --arms 0",  # 1
+    "amplify --alpha 0.1 --gamma -0.1",  # 1
+    "fig4 --loss -0.5 --sweep gain=3:3:1",  # 1
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS)
+def test_bad_input_exits_1_with_one_line(argv, capsys):
+    code, out, err = run_cli(argv.split(), capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("nlasim: configuration error:")
+    assert "Traceback" not in err
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+# small values, valid and invalid alike; every run stays cheap because the
+# dense two-mode subcommands always get an explicit small cutoff (a flag
+# mapped to None takes no value)
+_NUMBER = st.sampled_from(
+    ["0.05", "0.2", "0.3333", "0.5", "1", "2", "3", "-0.5", "0", "nan", "inf", "x"]
+)
+_COUNT = st.sampled_from(["-1", "0", "1", "2", "3", "4"])
+_CUTOFF = st.sampled_from(["-1", "0", "1", "2", "5", "8", "12"])
+_SWEEP = st.builds(
+    "{}={}:{}:{}".format,
+    st.sampled_from(["gain", "alpha", "eta", "bogus"]),
+    _NUMBER,
+    _NUMBER,
+    st.sampled_from(["0", "1", "2", "3"]),
+)
+_ALPHA = st.one_of(_NUMBER, st.builds("{},{}".format, _NUMBER, _NUMBER))
+_FLAGS = {
+    "amplify": {
+        "--alpha": _ALPHA,
+        "--fock": _COUNT,
+        "--arms": _COUNT,
+        "--eta": _NUMBER,
+        "--gain": _NUMBER,
+        "--gamma": _NUMBER,
+        "--cutoff": _CUTOFF,
+        "--sweep": _SWEEP,
+        "--asymptotic": None,
+    },
+    "fig3": {
+        "--arms": _COUNT,
+        "--eta": _NUMBER,
+        "--cutoff": _CUTOFF,
+        "--sweep": _SWEEP,
+    },
+    "fig4": {
+        "--arms": _COUNT,
+        "--loss": _NUMBER,
+        "--squeeze-r": _NUMBER,
+        "--sweep": _SWEEP,
+    },
+    "distill": {
+        "--chi": _NUMBER,
+        "--squeeze-r": _NUMBER,
+        "--loss": _NUMBER,
+        "--arms": _COUNT,
+        "--eta": _NUMBER,
+        "--gain": _NUMBER,
+        "--target-r": _NUMBER,
+        "--sweep": _SWEEP,
+        "--asymptotic": None,
+    },
+    "clone": {
+        "--alpha": _ALPHA,
+        "--arms": _COUNT,
+        "--eta": _NUMBER,
+        "--cutoff": _CUTOFF,
+        "--sweep": _SWEEP,
+        "--asymptotic": None,
+    },
+}
+
+
+# one of these input flags always comes first, so that most argv get past
+# the required input group
+_SOURCE = {
+    "amplify": ["--alpha", "--fock"],
+    "distill": ["--chi", "--squeeze-r"],
+    "clone": ["--alpha"],
+}
+
+
+@st.composite
+def _argv(draw):
+    sub = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[sub]
+    argv = [sub]
+    picked = draw(st.lists(st.sampled_from(sorted(flags)), max_size=4))
+    if sub in _SOURCE:
+        picked.insert(0, draw(st.sampled_from(_SOURCE[sub])))
+    for flag in picked:
+        value = flags[flag]
+        argv.append(flag if value is None else f"{flag}={draw(value)}")
+    if sub in ("fig4", "distill"):
+        argv.append(f"--cutoff={draw(st.sampled_from(['1', '4', '8', '12']))}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_any_argv_ends_in_a_documented_exit_code(argv):
+    code, err = _run_captured(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
