@@ -84,7 +84,7 @@ def distill_params(chi: float, epsilon: float, gain: float) -> EffectiveEprParam
 def lossy_epr(chi: float, epsilon: float, cutoff: int) -> DensityOperator:
     """Two-mode squeezed state with one arm sent through transmission
     ``epsilon``; the analytic target of the distillation pipeline."""
-    return loss_channel(epr_state(chi, cutoff), epsilon, mode=0)
+    return partial_trace(loss_channel(epr_state(chi, cutoff), epsilon, mode=0), [2])
 
 
 #: Largest cutoff the automatic sizing will pick: two-mode density
@@ -148,7 +148,7 @@ def distill_numeric(
         cutoff = _distill_cutoff(chi, params.chi_prime, arm_count)
 
     source = epr_state(chi, cutoff)
-    purified = loss_channel(source, epsilon, mode=0, keep_environment=True)
+    purified = loss_channel(source, epsilon, mode=0)
     if arm_count is None:
         op = asymptotic_operator(gain, cutoff)
     else:

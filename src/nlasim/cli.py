@@ -12,11 +12,14 @@ builder. The parser owns only flag-level rules: exclusive
 flags, finite numbers (``nan`` and ``inf`` are rejected) and positive
 counts for ``--arms``, ``--cutoff`` and ``--samples``. Every other range
 is checked by the library. ``--sweep NAME=A:B:N`` is taken only by fig3
-(names gain, alpha) and fig4 (name gain).
+(names gain, alpha) and fig4 (name gain). distill and clone reject
+``--arms`` together with ``--asymptotic``, since an ideal run has no arm
+count; amplify takes both, because there ``--arms`` sizes the cutoff.
 
 Exit codes: 0 success, 1 configuration error (any rejected or
-out-of-range value, reported as one line on stderr), 2 invariant
-failure, 3 nonconvergent-regime request.
+out-of-range value, or an ``--out`` path that cannot be written,
+reported as one line on stderr), 2 invariant failure, 3
+nonconvergent-regime request.
 """
 
 from __future__ import annotations
@@ -158,7 +161,7 @@ def _distill(args):
     params = {
         "chi": args.chi if args.chi is not None else math.tanh(args.squeeze_r),
         "loss": args.loss,
-        "arms": args.arms,
+        "arms": None if args.asymptotic else args.arms or 2,
         "eta": 0.05 if args.eta is None and args.gain is None else args.eta,
         "gain": args.gain,
         "asymptotic": args.asymptotic,
@@ -169,7 +172,7 @@ def _distill(args):
 
 
 def _clone(args):
-    arms = None if args.asymptotic else args.arms
+    arms = None if args.asymptotic else args.arms or 5
     params = {
         "alpha": args.alpha,
         "arms": arms,
@@ -320,18 +323,22 @@ def _build_parser() -> _Parser:
     source.add_argument("--chi", type=_finite_float)
     source.add_argument("--squeeze-r", type=_finite_float, dest="squeeze_r")
     p.add_argument("--loss", type=_finite_float, default=1.0)
-    p.add_argument("--arms", type=_positive_int, default=2)
+    # an ideal run has no arm count; --arms has no parser default because
+    # argparse lets a flag given at its default value pass an exclusion
+    runs = p.add_mutually_exclusive_group()
+    runs.add_argument("--arms", type=_positive_int, help="default 2")
+    runs.add_argument("--asymptotic", action="store_true")
     strength = p.add_mutually_exclusive_group()
     strength.add_argument("--eta", type=_finite_float, help="default 0.05")
     strength.add_argument("--gain", type=_finite_float)
-    p.add_argument("--asymptotic", action="store_true")
     p.add_argument("--target-r", type=_finite_float, default=None, dest="target_r")
 
     p = command("clone", _clone, "duplicate a coherent state")
     p.add_argument("--alpha", type=_parse_complex, required=True, metavar="RE,IM")
-    p.add_argument("--arms", type=_positive_int, default=5)
+    runs = p.add_mutually_exclusive_group()
+    runs.add_argument("--arms", type=_positive_int, help="default 5")
+    runs.add_argument("--asymptotic", action="store_true")
     p.add_argument("--eta", type=_finite_float, default=1.0 / 3.0)
-    p.add_argument("--asymptotic", action="store_true")
 
     p = command("verify", _verify, "run the self-check suites", cutoff=False)
     p.add_argument(
@@ -398,8 +405,9 @@ def main(argv=None) -> int:
     except NonconvergentError as exc:
         print(f"nlasim: nonconvergent regime: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # ConfigError and TruncationError are ValueErrors too
+    except (ValueError, OSError) as exc:
+        # ConfigError and TruncationError are ValueErrors too; an OSError
+        # is an --out path that cannot be written
         print(f"nlasim: configuration error: {exc}", file=sys.stderr)
         return 1
     # a table with a failed check (verify's status column) is an

@@ -120,9 +120,6 @@ class DensityOperator:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def normalize(self) -> "DensityOperator":
-        return DensityOperator(self.basis_cutoffs, self.matrix / self.trace)
-
     def __repr__(self):
         return (
             f"DensityOperator(cutoffs={self.basis_cutoffs}, "
@@ -327,41 +324,22 @@ def density_from_state(state) -> DensityOperator:
 
 
 def partial_trace(state, modes_to_trace) -> DensityOperator:
-    """Reduced density operator after tracing out ``modes_to_trace``.
+    """Reduced density operator of a pure state after tracing out
+    ``modes_to_trace``.
 
-    Accepts a pure state or a density operator. Tracing nothing returns
-    the density-operator representation unchanged; tracing every mode is
-    rejected. The total trace is preserved exactly up to rounding.
+    Tracing nothing gives |psi><psi|; tracing every mode is rejected. The
+    trace equals the squared norm up to rounding.
     """
+    mm = _pure(state)
+    n_modes = mm.n_modes
     traced = sorted(set(int(m) for m in modes_to_trace))
-    if isinstance(state, DensityOperator):
-        cutoffs = state.basis_cutoffs
-    else:
-        cutoffs = _pure(state).mode_cutoffs
-    n_modes = len(cutoffs)
     if any(not 0 <= m < n_modes for m in traced):
         raise ValueError(f"mode indices {traced} out of range for {n_modes} modes")
     if len(traced) == n_modes:
         raise ValueError("cannot trace out every mode")
-
-    if isinstance(state, DensityOperator):
-        if not traced:
-            return state
-        ten = state.matrix.reshape(cutoffs + cutoffs)
-        m = n_modes
-        for mode in reversed(traced):
-            ten = np.trace(ten, axis1=mode, axis2=mode + m)
-            m -= 1
-        kept = tuple(c for i, c in enumerate(cutoffs) if i not in traced)
-        dim = math.prod(kept)
-        return DensityOperator(kept, ten.reshape(dim, dim))
-
-    if not traced:
-        return density_from_state(state)
     kept_idx = [i for i in range(n_modes) if i not in traced]
-    perm = kept_idx + traced
-    kept = tuple(cutoffs[i] for i in kept_idx)
-    block = np.transpose(state.amplitudes, perm).reshape(math.prod(kept), -1)
+    kept = tuple(mm.mode_cutoffs[i] for i in kept_idx)
+    block = np.transpose(mm.amplitudes, kept_idx + traced).reshape(math.prod(kept), -1)
     return DensityOperator(kept, block @ block.conj().T)
 
 
@@ -370,18 +348,14 @@ def partial_trace(state, modes_to_trace) -> DensityOperator:
 
 
 def norm_sq(state) -> float:
-    """Sum of |amplitude|**2, or the trace for a density operator."""
-    if isinstance(state, DensityOperator):
-        return state.trace
-    if isinstance(state, MultiModeState):
-        flat = state.amplitudes.reshape(-1)
-        return float(np.vdot(flat, flat).real)
-    raise TypeError(f"unsupported type {type(state).__name__}")
+    """Sum of |amplitude|**2 of a pure state."""
+    flat = _pure(state).amplitudes.reshape(-1)
+    return float(np.vdot(flat, flat).real)
 
 
-def normalize(state):
-    """Explicitly normalized copy (unit norm or unit trace)."""
-    return state.normalize()
+def normalize(state) -> MultiModeState:
+    """Explicitly normalized copy of a pure state."""
+    return _pure(state).normalize()
 
 
 def purity(rho: DensityOperator) -> float:

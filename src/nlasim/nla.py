@@ -191,38 +191,12 @@ def _check_convergent(weights: np.ndarray, gain: float):
 def nla_apply(state, op: DiagonalAmplifierOp, mode: int = 0):
     """Apply the diagonal amplifier to one mode and report the herald.
 
-    Finite-arm operators return the raw unnormalized output whose squared
-    norm (trace, for density operators) is the success probability over
+    Takes a pure state only. Finite-arm operators return the raw
+    unnormalized output whose squared norm is the success probability over
     all 2**N accepted patterns. The ideal operator returns the state
     renormalized, with an absent success probability, and raises
     ``NonconvergentError`` if the scaled tail fails to decay.
     """
-    if isinstance(state, DensityOperator):
-        cutoffs = state.basis_cutoffs
-        if not 0 <= mode < len(cutoffs):
-            raise ValueError(f"mode {mode} out of range")
-        if cutoffs[mode] > op.cutoff:
-            raise ValueError("operator cutoff smaller than the state cutoff")
-        coeffs = op.coeffs[: cutoffs[mode]]
-        ten = state.matrix.reshape(cutoffs + cutoffs)
-        m = len(cutoffs)
-        shape = [1] * (2 * m)
-        shape[mode] = -1
-        ten = ten * coeffs.reshape(shape)
-        shape = [1] * (2 * m)
-        shape[m + mode] = -1
-        ten = ten * coeffs.reshape(shape)
-        dim = math.prod(cutoffs)
-        mat = ten.reshape(dim, dim)
-        if op.asymptotic:
-            marg = np.einsum("ii->i", mat).real.reshape(cutoffs)
-            axes = tuple(i for i in range(m) if i != mode)
-            _check_convergent(marg.sum(axis=axes) if axes else marg, op.gain)
-            tr = float(np.trace(mat).real)
-            return DensityOperator(cutoffs, mat / tr), HeraldRecord(None, None)
-        tr = float(np.trace(mat).real)
-        return DensityOperator(cutoffs, mat), HeraldRecord(tr, 2**op.arm_count)
-
     mm = _pure(state)
     if not 0 <= mode < mm.n_modes:
         raise ValueError(f"mode {mode} out of range")
@@ -420,8 +394,6 @@ def misfire_density(
     eta: float,
     gamma: float,
     cutoff: int | None = None,
-    *,
-    normalized: bool = False,
 ) -> DensityOperator:
     """First-order output mixture for source efficiency 1 - gamma.
 
@@ -432,5 +404,4 @@ def misfire_density(
     first, second = misfire_terms(alpha, arm_count, eta, gamma, cutoff)
     mat = np.outer(first.amplitudes, first.amplitudes.conj())
     mat = mat + np.outer(second.amplitudes, second.amplitudes.conj())
-    rho = DensityOperator(first.mode_cutoffs, mat)
-    return rho.normalize() if normalized else rho
+    return DensityOperator(first.mode_cutoffs, mat)

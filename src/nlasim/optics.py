@@ -21,14 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TruncationError
-from .fock import (
-    DensityOperator,
-    MultiModeState,
-    _pure,
-    number_state,
-    partial_trace,
-    tensor,
-)
+from .fock import MultiModeState, _pure, number_state, tensor
 
 #: Probability mass a beamsplitter may drop from unrepresentable sectors.
 OVERFLOW_TOL = 1e-12
@@ -206,54 +199,20 @@ def phase_shift(state, theta: float, mode: int = 0):
     )
 
 
-def _loss_kraus(cutoff: int, epsilon: float) -> list:
-    """Kraus operators K_k of the transmission-epsilon loss channel:
-    K_k |n> = sqrt(C(n, k)) (1-eps)**(k/2) eps**((n-k)/2) |n-k>."""
-    ops = []
-    for k in range(cutoff):
-        mat = np.zeros((cutoff, cutoff), dtype=np.complex128)
-        for n in range(k, cutoff):
-            mat[n - k, n] = math.sqrt(
-                math.comb(n, k) * (1.0 - epsilon) ** k * epsilon ** (n - k)
-            )
-        ops.append(mat)
-    return ops
+def loss_channel(state, epsilon: float, mode: int = 0) -> MultiModeState:
+    """Couple one mode to vacuum through transmissivity ``epsilon``.
 
-
-def loss_channel(state, epsilon: float, mode: int = 0, keep_environment: bool = False):
-    """Couple one mode to vacuum through transmissivity ``epsilon`` and
-    trace out the auxiliary mode.
-
-    For pure inputs with ``keep_environment=True`` the purification is
-    returned instead, with the environment appended as the last mode and
-    holding the lost photons with all-positive amplitudes
-    sqrt(C(n, k)) (1-eps)**(k/2) eps**((n-k)/2).
+    Returns the purification: the environment is appended as the last mode
+    and holds the lost photons with all-positive amplitudes
+    sqrt(C(n, k)) (1-eps)**(k/2) eps**((n-k)/2). Tracing that mode out
+    gives the lossy state.
     """
+    mm = _pure(state)
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
-
-    if isinstance(state, DensityOperator):
-        if keep_environment:
-            raise ValueError("keep_environment applies to pure inputs only")
-        cutoffs = state.basis_cutoffs
-        if not 0 <= mode < len(cutoffs):
-            raise ValueError(f"mode {mode} out of range")
-        eye_l = np.eye(math.prod(cutoffs[:mode]))
-        eye_r = np.eye(math.prod(cutoffs[mode + 1 :]))
-        out = np.zeros_like(state.matrix)
-        for kraus in _loss_kraus(cutoffs[mode], epsilon):
-            full = np.kron(np.kron(eye_l, kraus), eye_r)
-            out += full @ state.matrix @ full.conj().T
-        return DensityOperator(cutoffs, out)
-
-    mm = _pure(state)
     if not 0 <= mode < mm.n_modes:
         raise ValueError(f"mode {mode} out of range")
-    env_cutoff = mm.mode_cutoffs[mode]
     env_idx = mm.n_modes
-    joint = tensor(mm, number_state(0, env_cutoff))
+    joint = tensor(mm, number_state(0, mm.mode_cutoffs[mode]))
     # ordered pair (environment, system) keeps every amplitude positive
-    joint = apply_beamsplitter(joint, BeamsplitterSpec(epsilon, (env_idx, mode)))
-    if keep_environment:
-        return joint
-    return partial_trace(joint, [env_idx])
+    return apply_beamsplitter(joint, BeamsplitterSpec(epsilon, (env_idx, mode)))

@@ -12,6 +12,7 @@ from nlasim import (
     distill_purity_tradeoff,
     epr_state,
     fidelity,
+    loss_channel,
     lossy_epr,
     nla_apply,
     nla_operator,
@@ -130,9 +131,7 @@ class TestDistillNumeric:
         chi, eps, arms, eta = 0.3, 0.6, 2, 0.2
         cutoff = 24
         rho, herald, _ = distill_numeric(chi, eps, arms, eta, cutoff)
-        marginal = partial_trace(
-            lossy_epr(chi, eps, cutoff), [1]
-        )
+        marginal = partial_trace(loss_channel(epr_state(chi, cutoff), eps), [1, 2])
         weights = np.diag(marginal.matrix).real
         coeffs = nla_operator(arms, eta, cutoff).coeffs
         want = float(np.sum(weights * coeffs**2))

@@ -231,12 +231,18 @@ BAD_INPUTS = [
     "amplify --alpha 0.1 --asymptotic --arms 0",  # 1
     "amplify --alpha 0.1 --gamma -0.1",  # 1
     "fig4 --loss -0.5 --sweep gain=3:3:1",  # 1
+    "distill --chi 0.1 --asymptotic --arms 3 --gain 1.5 --loss 0.5",  # 0: arms ignored
+    "clone --alpha 0.5 --asymptotic --arms 3",  # 0: arms ignored
+    # --arms given at its default value still conflicts
+    "distill --chi 0.1 --asymptotic --arms 2 --gain 1.5 --loss 0.5",  # 0: arms ignored
+    "clone --alpha 0.5 --asymptotic --arms 5",  # 0: arms ignored
+    "amplify --alpha 0.1 --out {tmp}/missing/x.csv",  # 1 by traceback
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS)
-def test_bad_input_exits_1_with_one_line(argv, capsys):
-    code, out, err = run_cli(argv.split(), capsys)
+def test_bad_input_exits_1_with_one_line(argv, capsys, tmp_path):
+    code, out, err = run_cli(argv.format(tmp=tmp_path).split(), capsys)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1

@@ -8,7 +8,6 @@ from nlasim import (
     NonconvergentError,
     asymptotic_operator,
     coherent_state,
-    density_from_state,
     epr_state,
     fidelity,
     gain_from_eta,
@@ -80,17 +79,6 @@ class TestApply:
         out, herald = nla_apply(epr_state(0.3, cutoff), asymptotic_operator(2.0, cutoff))
         assert herald.success_probability is None
         assert fidelity(out, epr_state(0.6, cutoff)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_density_path_matches_pure_path(self, rng):
-        state = random_fock(rng, 6)
-        op = nla_operator(2, 0.2, 6)
-        rho_out, h_rho = nla_apply(density_from_state(state), op)
-        vec_out, h_vec = nla_apply(state, op)
-        assert h_rho.success_probability == pytest.approx(
-            h_vec.success_probability, rel=1e-12
-        )
-        assert fidelity(rho_out, vec_out) == pytest.approx(1.0, abs=1e-10)
-        assert rho_out.trace == pytest.approx(h_rho.success_probability, rel=1e-12)
 
     def test_half_transmissivity_is_pure_truncation(self, rng):
         # g = 1: any qubit-subspace state passes up to a constant

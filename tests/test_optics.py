@@ -13,6 +13,7 @@ from nlasim import (
     apply_beamsplitter,
     apply_nsplitter,
     coherent_state,
+    density_from_state,
     epr_state,
     fidelity,
     loss_channel,
@@ -139,25 +140,57 @@ class TestNsplitter:
             apply_nsplitter(state, NsplitterSpec.even_split(3))
 
 
+def _loss_kraus(cutoff: int, epsilon: float) -> list:
+    """Kraus operators K_k of the transmission-epsilon loss channel:
+    K_k |n> = sqrt(C(n, k)) (1-eps)**(k/2) eps**((n-k)/2) |n-k>."""
+    ops = []
+    for k in range(cutoff):
+        mat = np.zeros((cutoff, cutoff), dtype=np.complex128)
+        for n in range(k, cutoff):
+            mat[n - k, n] = math.sqrt(
+                math.comb(n, k) * (1.0 - epsilon) ** k * epsilon ** (n - k)
+            )
+        ops.append(mat)
+    return ops
+
+
+def kraus_loss(state, epsilon, mode):
+    """Reference route to the lossy state: sum_k K_k rho K_k+ on the dense
+    density matrix, each K_k lifted to the full basis by Kronecker products."""
+    rho = density_from_state(state).matrix
+    cutoffs = state.mode_cutoffs
+    eye_l = np.eye(math.prod(cutoffs[:mode]))
+    eye_r = np.eye(math.prod(cutoffs[mode + 1 :]))
+    out = np.zeros_like(rho)
+    for kraus in _loss_kraus(cutoffs[mode], epsilon):
+        full = np.kron(np.kron(eye_l, kraus), eye_r)
+        out += full @ rho @ full.conj().T
+    return out
+
+
+def lossy(state, epsilon, mode=0):
+    """Lossy state through the library: trace the purification's
+    environment, which is the last mode."""
+    return partial_trace(loss_channel(state, epsilon, mode), [state.n_modes])
+
+
 class TestLossChannel:
     def test_full_transmission_is_identity(self, rng):
         state = random_fock(rng, 5)
-        rho = loss_channel(state, 1.0, 0)
+        rho = lossy(state, 1.0, 0)
         want = np.outer(state.amplitudes, state.amplitudes.conj())
         assert np.max(np.abs(rho.matrix - want)) < 1e-12
 
     def test_zero_transmission_gives_vacuum(self):
-        rho = loss_channel(number_state(1, 3), 0.0, 0)
+        rho = lossy(number_state(1, 3), 0.0, 0)
         want = np.zeros((3, 3))
         want[0, 0] = 1.0
         assert np.max(np.abs(rho.matrix - want)) < 1e-12
 
     def test_purification_amplitudes(self):
-        # direct binomial evaluation of the kept-environment amplitudes
+        # direct binomial evaluation of the environment amplitudes
         chi, eps, c = 0.5, 0.5, 6
-        joint = loss_channel(
-            epr_state(chi, c, tail_tol=1.0), eps, mode=0, keep_environment=True
-        )
+        joint = loss_channel(epr_state(chi, c, tail_tol=1.0), eps, mode=0)
         for n in range(c):
             for k in range(n + 1):
                 want = (
@@ -171,30 +204,39 @@ class TestLossChannel:
 
     def test_environment_trace_matches_direct(self, rng):
         state = random_multimode(rng, (4, 3))
-        joint = loss_channel(state, 0.6, mode=0, keep_environment=True)
-        via_env = partial_trace(joint, [2])
-        direct = loss_channel(state, 0.6, mode=0)
-        assert np.max(np.abs(via_env.matrix - direct.matrix)) < 1e-12
+        via_env = lossy(state, 0.6, mode=0)
+        direct = kraus_loss(state, 0.6, mode=0)
+        assert np.max(np.abs(via_env.matrix - direct)) < 1e-12
 
     def test_composition_law(self, rng):
         for _ in range(5):
             state = random_fock(rng, 6)
-            twice = loss_channel(loss_channel(state, 0.7, 0), 0.6, 0)
-            once = loss_channel(state, 0.42, 0)
+            chained = loss_channel(loss_channel(state, 0.7, 0), 0.6, 0)
+            twice = partial_trace(chained, [1, 2])
+            once = lossy(state, 0.42, 0)
             assert np.max(np.abs(twice.matrix - once.matrix)) < 1e-10
 
     def test_density_input_kraus_path(self, rng):
         state = random_fock(rng, 6)
-        from nlasim import density_from_state
-
-        pure_route = loss_channel(state, 0.42, 0)
-        kraus_route = loss_channel(density_from_state(state), 0.42, 0)
-        assert np.max(np.abs(pure_route.matrix - kraus_route.matrix)) < 1e-12
+        pure_route = lossy(state, 0.42, 0)
+        kraus_route = kraus_loss(state, 0.42, 0)
+        assert np.max(np.abs(pure_route.matrix - kraus_route)) < 1e-12
 
     def test_trace_preserved(self, rng):
         state = random_multimode(rng, (5, 3))
-        rho = loss_channel(state, 0.35, 0)
+        rho = lossy(state, 0.35, 0)
         assert abs(rho.trace - norm_sq(state)) < 1e-12
+
+    def test_any_mode_matches_kraus_route(self, rng):
+        for _ in range(200):
+            n_modes = int(rng.integers(1, 4))
+            cutoffs = tuple(int(c) for c in rng.integers(1, 5, size=n_modes))
+            state = random_multimode(rng, cutoffs)
+            mode = int(rng.integers(0, n_modes))
+            eps = float(rng.uniform(0.0, 1.0))
+            rho = lossy(state, eps, mode)
+            assert rho.basis_cutoffs == cutoffs
+            assert np.max(np.abs(rho.matrix - kraus_loss(state, eps, mode))) < 1e-12
 
 
 class TestPhaseShift:
