@@ -87,9 +87,10 @@ def lossy_epr(chi: float, epsilon: float, cutoff: int) -> DensityOperator:
     return partial_trace(loss_channel(epr_state(chi, cutoff), epsilon, mode=0), [2])
 
 
-#: Largest cutoff the automatic sizing will pick: two-mode density
-#: operators cost memory and eigensolves like cutoff**4 and cutoff**6, and
-#: the two-mode beamsplitter matrix of cloning costs memory like cutoff**4.
+#: Largest cutoff the automatic sizing will pick. What still grows fast is
+#: the dense two-mode beamsplitter matrix of loss and cloning
+#: (``optics._two_mode_matrix``, (cutoff**2)**2 entries), and the precision
+#: of its sector blocks falls as the photon number grows.
 AUTO_CUTOFF_CAP = 40
 
 
@@ -267,26 +268,6 @@ def sample_postselected_variance(
     }
 
 
-def _quadrature_ops(cutoffs) -> tuple[list, list]:
-    xs, ps = [], []
-    eyes = [np.eye(c) for c in cutoffs]
-    for m, c in enumerate(cutoffs):
-        a = annihilation(c)
-        x1 = a + a.conj().T
-        p1 = -1j * (a - a.conj().T)
-        ops = [x1 if k == m else eyes[k] for k in range(len(cutoffs))]
-        full = ops[0]
-        for o in ops[1:]:
-            full = np.kron(full, o)
-        xs.append(full)
-        ops = [p1 if k == m else eyes[k] for k in range(len(cutoffs))]
-        full = ops[0]
-        for o in ops[1:]:
-            full = np.kron(full, o)
-        ps.append(full)
-    return xs, ps
-
-
 def purity_product(state) -> PurityReport:
     """Squeezed and anti-squeezed quadrature-correlation variances of a
     two-mode state.
@@ -306,13 +287,19 @@ def purity_product(state) -> PurityReport:
     if rho.n_modes != 2:
         raise ValueError("purity product is defined for two-mode states")
     success = rho.trace
-    mat = rho.matrix / success
-    (xa, xb), (pa, pb) = _quadrature_ops(rho.basis_cutoffs)
+    ten = rho.factor.reshape(*rho.basis_cutoffs, -1)
+    quads = []
+    for axis, cutoff in enumerate(rho.basis_cutoffs):
+        a = annihilation(cutoff)
+        for op in (a + a.conj().T, -1j * (a - a.conj().T)):
+            # the single-mode operator applied to one axis of F
+            quads.append(np.moveaxis(np.tensordot(op, ten, (1, axis)), 0, axis))
+    xa, pa, xb, pb = quads
 
-    def variance(op):
-        mean = float(np.trace(mat @ op).real)
-        mean_sq = float(np.trace(mat @ op @ op).real)
-        return mean_sq - mean**2
+    def variance(op_ten):
+        # <O> = Re Tr F+ O F and <O**2> = ||O F||**2, over the trace
+        mean = float(np.vdot(ten, op_ten).real) / success
+        return float(np.vdot(op_ten, op_ten).real) / success - mean**2
 
     v_x = {sign: variance(xa + sign * xb) / 2.0 for sign in (-1.0, +1.0)}
     sign = min(v_x, key=v_x.get)

@@ -16,10 +16,12 @@ is checked by the library. ``--sweep NAME=A:B:N`` is taken only by fig3
 ``--arms`` together with ``--asymptotic``, since an ideal run has no arm
 count; amplify takes both, because there ``--arms`` sizes the cutoff.
 
-Exit codes: 0 success, 1 configuration error (any rejected or
-out-of-range value, or an ``--out`` path that cannot be written,
-reported as one line on stderr), 2 invariant failure, 3
-nonconvergent-regime request.
+Exit codes: 0 success, 1 configuration or output error, 2 invariant
+failure, 3 nonconvergent-regime request. A configuration error is any
+rejected or out-of-range value, or an ``--out`` path that cannot be
+opened, and is reported as one line on stderr. A write to stdout or
+``--out`` that fails is an output error, also one line on stderr, except
+a stdout pipe whose reader has gone, which exits 1 silently.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -392,23 +395,47 @@ def _write_table(config: dict, result: TableResult, stream):
         stream.write(",".join(_fmt_cell(row.get(c)) for c in result.columns) + "\n")
 
 
+def _silence_stdout():
+    """Point stdout's descriptor at the null device, so the interpreter's
+    exit-time flush of output that could not be written raises nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # an in-memory or closed stream
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         params, result = args.run(args)
         config = _header_config(args, params)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                _write_table(config, result, handle)
-        else:
-            _write_table(config, result, sys.stdout)
+        handle = (
+            open(args.out, "w", encoding="utf-8", newline="") if args.out else None
+        )
     except NonconvergentError as exc:
         print(f"nlasim: nonconvergent regime: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         # ConfigError and TruncationError are ValueErrors too; an OSError
-        # is an --out path that cannot be written
+        # is an --out path that cannot be opened
         print(f"nlasim: configuration error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        if handle is None:
+            _write_table(config, result, sys.stdout)
+            sys.stdout.flush()
+        else:
+            with handle:
+                _write_table(config, result, handle)
+    except OSError as exc:
+        if handle is None:
+            _silence_stdout()
+        # a reader that closed its end of the pipe wants no more output
+        if not isinstance(exc, BrokenPipeError):
+            print(f"nlasim: output error: {exc}", file=sys.stderr)
         return 1
     # a table with a failed check (verify's status column) is an
     # invariant failure

@@ -147,7 +147,7 @@ def _misfire_table(alpha, arms, eta, gamma, cutoff, gain) -> TableResult:
     mixed_purity = purity(rho)
     term_overlap = fidelity(first, second)
     fid = fidelity(rho, coherent_state(gain * alpha, cutoff))
-    diag = np.diag(rho.matrix).real / accept
+    diag = (rho.factor * rho.factor.conj()).real.sum(axis=1) / accept
     rows = [
         {
             "n": n,
@@ -335,7 +335,7 @@ def distill_table(
         if not 0.0 <= chi_t < 1.0:
             raise ValueError(f"tanh(target_r) = {chi_t} lies outside [0, 1)")
         target_cutoff = minimal_epr_cutoff(chi_t)
-        # the fidelity pads rho to the target's basis, at cutoff**4 memory
+        # the target's own amplitudes take cutoff**2 memory
         if target_cutoff > rho.basis_cutoffs[0]:
             _cap_auto_cutoff(target_cutoff, "lower target_r")
         fid_t = fidelity(rho, epr_state(chi_t, target_cutoff))

@@ -1,8 +1,9 @@
 """Truncated Fock-space states, density operators and their basic algebra.
 
-Everything is a dense complex array over number bases |0>, ..., |cutoff-1>.
-Unnormalized states are first class: a heralded output keeps its raw norm,
-and the squared norm (or the trace, for density operators) is the heralding
+Everything is a dense complex array over number bases |0>, ..., |cutoff-1>;
+a density operator is held as a factor F with rho = F F+. Unnormalized
+states are first class: a heralded output keeps its raw norm, and the
+squared norm (or the trace, for density operators) is the heralding
 probability. Normalization is always an explicit call, never a side effect.
 """
 
@@ -18,10 +19,6 @@ from .errors import TruncationError, TruncationWarning
 
 #: Tolerance on squared norms when a state claims to be normalized.
 NORM_TOL = 1e-12
-#: Maximum elementwise deviation from Hermiticity accepted at construction.
-HERMITICITY_TOL = 1e-10
-#: Most negative eigenvalue accepted for a density operator.
-EIGENVALUE_TOL = 1e-10
 #: Default bound on the probability mass a constructor may drop.
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -81,14 +78,16 @@ class MultiModeState:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian positive-semidefinite operator over a (multi)mode basis.
+    """Positive operator rho = F F+ over a (multi)mode basis, held as its
+    factor F of shape (dim, rank).
 
-    The trace lies in (0, 1]. An unnormalized operator carries its
-    heralding probability in the trace.
+    Hermiticity and positivity hold by construction. The trace ||F||**2
+    lies in (0, 1]; an unnormalized operator carries its heralding
+    probability in the trace.
     """
 
     basis_cutoffs: tuple
-    matrix: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         cutoffs = tuple(int(c) for c in self.basis_cutoffs)
@@ -96,21 +95,13 @@ class DensityOperator:
             raise ValueError("each mode needs a cutoff >= 1")
         object.__setattr__(self, "basis_cutoffs", cutoffs)
         dim = math.prod(cutoffs)
-        mat = _frozen_array(self.matrix)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} != ({dim}, {dim})")
-        object.__setattr__(self, "matrix", mat)
-        dev = np.max(np.abs(mat - mat.conj().T))
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"matrix not Hermitian (max deviation {dev:.3g})")
-        tr = np.trace(mat)
-        if abs(tr.imag) > HERMITICITY_TOL:
-            raise ValueError("trace has a nonzero imaginary part")
-        if not 0.0 < tr.real <= 1.0 + EIGENVALUE_TOL:
-            raise ValueError(f"trace {tr.real} outside (0, 1]")
-        lo = np.linalg.eigvalsh(mat).min()
-        if lo < -EIGENVALUE_TOL:
-            raise ValueError(f"negative eigenvalue {lo:.3g}")
+        fac = _frozen_array(self.factor)
+        if fac.ndim != 2 or fac.shape[0] != dim:
+            raise ValueError(f"factor shape {fac.shape} != ({dim}, rank)")
+        object.__setattr__(self, "factor", fac)
+        tr = self.trace
+        if not 0.0 < tr <= 1.0 + NORM_TOL:
+            raise ValueError(f"trace {tr} outside (0, 1]")
 
     @property
     def n_modes(self) -> int:
@@ -118,7 +109,13 @@ class DensityOperator:
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        flat = self.factor.reshape(-1)
+        return float(np.vdot(flat, flat).real)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense rho = F F+, built on each access."""
+        return self.factor @ self.factor.conj().T
 
     def __repr__(self):
         return (
@@ -319,8 +316,7 @@ def pad_state(state, new_cutoffs) -> MultiModeState:
 def density_from_state(state) -> DensityOperator:
     """|psi><psi| over the flattened multimode basis."""
     mm = _pure(state)
-    vec = mm.amplitudes.reshape(-1)
-    return DensityOperator(mm.mode_cutoffs, np.outer(vec, vec.conj()))
+    return DensityOperator(mm.mode_cutoffs, mm.amplitudes.reshape(-1, 1))
 
 
 def partial_trace(state, modes_to_trace) -> DensityOperator:
@@ -340,7 +336,7 @@ def partial_trace(state, modes_to_trace) -> DensityOperator:
     kept_idx = [i for i in range(n_modes) if i not in traced]
     kept = tuple(mm.mode_cutoffs[i] for i in kept_idx)
     block = np.transpose(mm.amplitudes, kept_idx + traced).reshape(math.prod(kept), -1)
-    return DensityOperator(kept, block @ block.conj().T)
+    return DensityOperator(kept, block)
 
 
 # ---------------------------------------------------------------------------
@@ -359,31 +355,17 @@ def normalize(state) -> MultiModeState:
 
 
 def purity(rho: DensityOperator) -> float:
-    """Tr[rho_hat**2] of the trace-normalized operator."""
-    m = rho.matrix / rho.trace
-    return float(np.trace(m @ m).real)
+    """Tr[rho_hat**2] of the trace-normalized operator, ||F+ F||**2 / tr**2."""
+    gram = rho.factor.conj().T @ rho.factor
+    return float(np.vdot(gram, gram).real) / rho.trace**2
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def _coerce_comparable(state):
-    """Return ("pure", tensor, cutoffs) or ("mixed", matrix, cutoffs)."""
+def _factor(state) -> tuple[np.ndarray, tuple]:
+    """Factor F of rho = F F+ and the cutoffs; a pure state is one column."""
     if isinstance(state, DensityOperator):
-        return "mixed", state.matrix, state.basis_cutoffs
+        return state.factor, state.basis_cutoffs
     mm = _pure(state)
-    return "pure", mm.amplitudes, mm.mode_cutoffs
-
-
-def _pad_matrix(mat, cutoffs, new_cutoffs):
-    ten = mat.reshape(cutoffs + cutoffs)
-    widths = [(0, n - o) for n, o in zip(new_cutoffs, cutoffs)] * 2
-    ten = np.pad(ten, widths)
-    dim = math.prod(new_cutoffs)
-    return ten.reshape(dim, dim)
+    return mm.amplitudes.reshape(-1, 1), mm.mode_cutoffs
 
 
 def fidelity(a, b) -> float:
@@ -391,44 +373,29 @@ def fidelity(a, b) -> float:
 
     Pure-pure inputs give |<a|b>|**2, pure-mixed give <a|rho|a>, and
     mixed-mixed the squared Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma
-    sqrt(rho)))**2. Inputs are normalized before comparison and the
-    smaller basis is zero padded, so unnormalized heralded outputs can be
-    compared directly against targets. Global phase never matters.
+    sqrt(rho)))**2. All three are ||F_a+ F_b||_1**2 over the two traces,
+    with a pure state as a one-column factor. Inputs are normalized before
+    comparison and only the basis states both cover contribute, as if the
+    smaller basis were zero padded, so unnormalized heralded outputs can
+    be compared directly against targets. Global phase never matters.
     """
-    kind_a, arr_a, cut_a = _coerce_comparable(a)
-    kind_b, arr_b, cut_b = _coerce_comparable(b)
+    fa, cut_a = _factor(a)
+    fb, cut_b = _factor(b)
     if len(cut_a) != len(cut_b):
         raise ValueError(
             f"mode count mismatch: {len(cut_a)} vs {len(cut_b)}"
         )
-    target = tuple(max(x, y) for x, y in zip(cut_a, cut_b))
-
-    def prep(kind, arr, cutoffs):
-        if kind == "pure":
-            widths = [(0, n - o) for n, o in zip(target, cutoffs)]
-            vec = np.pad(arr, widths).reshape(-1)
-            n2 = float(np.vdot(vec, vec).real)
-            if n2 <= 0.0:
-                raise ValueError("cannot compare a zero-norm state")
-            return vec / math.sqrt(n2)
-        mat = _pad_matrix(arr, cutoffs, target)
-        tr = float(np.trace(mat).real)
-        if tr <= 0.0:
-            raise ValueError("cannot compare a zero-trace operator")
-        return mat / tr
-
-    xa = prep(kind_a, arr_a, cut_a)
-    xb = prep(kind_b, arr_b, cut_b)
-
-    if kind_a == "pure" and kind_b == "pure":
-        val = abs(np.vdot(xa, xb)) ** 2
-    elif kind_a == "pure":
-        val = float(np.real(xa.conj() @ xb @ xa))
-    elif kind_b == "pure":
-        val = float(np.real(xb.conj() @ xa @ xb))
+    tr_a = float(np.vdot(fa, fa).real)
+    tr_b = float(np.vdot(fb, fb).real)
+    if tr_a <= 0.0 or tr_b <= 0.0:
+        raise ValueError("cannot compare a zero-norm state")
+    shared = tuple(slice(min(x, y)) for x, y in zip(cut_a, cut_b))
+    sa = fa.reshape(*cut_a, -1)[shared].reshape(-1, fa.shape[1])
+    sb = fb.reshape(*cut_b, -1)[shared].reshape(-1, fb.shape[1])
+    overlap = sa.conj().T @ sb
+    if min(overlap.shape) == 1:
+        # the trace norm of a rank-1 matrix is its Frobenius norm
+        val = float(np.vdot(overlap, overlap).real)
     else:
-        # Tr sqrt(sqrt(rho) sigma sqrt(rho)) equals the trace norm of
-        # sqrt(rho) sqrt(sigma): manifestly symmetric and stable
-        sing = np.linalg.svd(_psd_sqrt(xa) @ _psd_sqrt(xb), compute_uv=False)
-        val = float(np.sum(sing)) ** 2
-    return float(min(max(val, 0.0), 1.0))
+        val = float(np.sum(np.linalg.svd(overlap, compute_uv=False))) ** 2
+    return float(min(max(val / (tr_a * tr_b), 0.0), 1.0))

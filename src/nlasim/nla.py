@@ -402,6 +402,5 @@ def misfire_density(
     recovered exactly.
     """
     first, second = misfire_terms(alpha, arm_count, eta, gamma, cutoff)
-    mat = np.outer(first.amplitudes, first.amplitudes.conj())
-    mat = mat + np.outer(second.amplitudes, second.amplitudes.conj())
-    return DensityOperator(first.mode_cutoffs, mat)
+    factor = np.stack([first.amplitudes, second.amplitudes], axis=1)
+    return DensityOperator(first.mode_cutoffs, factor)

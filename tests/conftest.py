@@ -33,11 +33,12 @@ def random_multimode(rng, cutoffs, max_total=None) -> MultiModeState:
 
 
 def random_density(rng, cutoffs, rank=3) -> DensityOperator:
+    """Unit-trace mixture of ``rank`` random pure states, one factor
+    column sqrt(w) |v> per state."""
     dim = int(np.prod(cutoffs))
-    mat = np.zeros((dim, dim), dtype=np.complex128)
+    columns = []
     weights = rng.dirichlet(np.ones(rank))
     for w in weights:
         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        vec /= np.linalg.norm(vec)
-        mat += w * np.outer(vec, vec.conj())
-    return DensityOperator(tuple(cutoffs), mat)
+        columns.append(np.sqrt(w) * vec / np.linalg.norm(vec))
+    return DensityOperator(tuple(cutoffs), np.stack(columns, axis=1))

@@ -43,8 +43,8 @@ def report(criterion: int, passed: bool, detail: str) -> str:
 def test_criterion_1_headline_distillation():
     """N=2, eta=0.05, chi=tanh(0.1), lossless line: fidelity 0.993 +/- 0.003
     against the tanh(0.4) two-mode squeezed target under at least one
-    fidelity convention, a warm run under 1 s, and the success probability
-    checked by two routes.
+    fidelity convention, a cold run under 1 s (no untimed warm-up call
+    before it), and the success probability checked by two routes.
 
     The documented map |n> -> eta**(N/2) N!/((N-n)! N**n) g**n |n> with
     g**2 = (1-eta)/eta, applied to one arm of sqrt(1-chi**2) sum chi**n
@@ -57,9 +57,6 @@ def test_criterion_1_headline_distillation():
     acts on reaches the lower 95% of that window.
     """
     arms, eta, chi = 2, 0.05, math.tanh(0.1)
-    # The first multithreaded eigensolve of a process can take about 1 s;
-    # one untimed call keeps that start-up cost out of the timed window.
-    distill_numeric(chi, 1.0, arms, eta)
     start = time.perf_counter()
     rho, herald, _ = distill_numeric(chi, 1.0, arms, eta)
     target = epr_state(math.tanh(0.4))
@@ -95,13 +92,13 @@ def test_criterion_1_headline_distillation():
         f"success={100 * prob:.6f}% against closed form {100 * closed:.6f}% "
         f"(rel err {prob_err:.3g}, tol 1e-12) and circuit oracle "
         f"{100 * oracle:.6f}% (rel err {oracle_err:.3g}, tol {ORACLE_PROB_TOL:g}); "
-        f"warm run {elapsed:.3f}s",
+        f"cold run {elapsed:.3f}s",
     )
     assert fid_ok, (
         f"no fidelity convention lands in 0.993 +/- 0.003: "
         f"squared={f_squared:.6f}, amplitude={f_amplitude:.6f}"
     )
-    assert elapsed < 1.0, f"warm distillation took {elapsed:.3f}s (bound 1 s)"
+    assert elapsed < 1.0, f"cold distillation took {elapsed:.3f}s (bound 1 s)"
     assert prob_ok, (
         f"success probability {100 * prob:.6f}% differs from the closed form "
         f"{100 * closed:.6f}% by {prob_err:.3g} relative (tol 1e-12)"

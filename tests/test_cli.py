@@ -2,6 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -248,6 +252,61 @@ def test_bad_input_exits_1_with_one_line(argv, capsys, tmp_path):
     assert len(err.splitlines()) == 1
     assert err.startswith("nlasim: configuration error:")
     assert "Traceback" not in err
+
+
+def test_closed_stdout_pipe_exits_1_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nlasim", "fig3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("extra", [[], ["--out", "/dev/full"]])
+def test_failed_write_is_an_output_error(extra):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nlasim", "amplify", "--alpha", "0.1", *extra],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("nlasim: output error:")
+
+
+# The output contract: the CSV of each README example, byte for byte, and
+# of two more runs. verify is left out: its deviation cells are rounding
+# noise.
+GOLDEN = {
+    "amplify_alpha": "amplify --alpha 0.1,0.0 --arms 2 --eta 0.05",
+    "amplify_misfire": "amplify --alpha 0.3 --arms 5 --gamma 0.01",
+    "amplify_fock": "amplify --fock 3 --arms 4",
+    "fig3": "fig3",
+    "fig4": "fig4 --sweep gain=1:3:9",
+    "distill": "distill --squeeze-r 0.1 --arms 2 --eta 0.05 --loss 1 --target-r 0.4",
+    "clone": "clone --alpha 0.5 --arms 5",
+    "clone_asymptotic": "clone --alpha 0.5,0.2 --asymptotic",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_csv_output_matches_golden_file(name, capsys):
+    code, out, _ = run_cli(GOLDEN[name].split(), capsys)
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / f"{name}.csv"
+    assert out.encode("utf-8") == golden.read_bytes()
 
 
 def _run_captured(argv):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlasim import (
     BeamsplitterSpec,
@@ -9,6 +11,7 @@ from nlasim import (
     MultiModeState,
     TruncationError,
     TruncationWarning,
+    annihilation,
     apply_beamsplitter,
     coherent_state,
     density_from_state,
@@ -24,6 +27,8 @@ from nlasim import (
     number_state,
     pad_state,
     partial_trace,
+    purity,
+    purity_product,
     tensor,
     vacuum,
 )
@@ -167,7 +172,7 @@ class TestFidelity:
         assert val == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_maximally_mixed_qubit_vs_vacuum(self):
-        rho = DensityOperator((2,), np.eye(2) / 2.0)
+        rho = DensityOperator((2,), np.eye(2) / math.sqrt(2.0))
         assert fidelity(rho, vacuum(2)) == pytest.approx(0.5, abs=1e-12)
 
     def test_symmetry(self, rng):
@@ -202,13 +207,17 @@ class TestFidelity:
         assert both == pytest.approx(pure, abs=1e-8)
 
     def test_uhlmann_against_scipy_sqrtm(self, rng):
+        # full-rank operators only: scipy's sqrtm loses about 1e-8 on
+        # singular ones
         from scipy.linalg import sqrtm
 
-        rho = random_density(rng, (4,), rank=4)
-        sig = random_density(rng, (4,), rank=4)
-        root = sqrtm(rho.matrix)
-        want = float(np.real(np.trace(sqrtm(root @ sig.matrix @ root)))) ** 2
-        assert fidelity(rho, sig) == pytest.approx(want, abs=1e-8)
+        for cutoffs in [(4,), (2, 2), (1, 3), (3, 1)] * 10:
+            rank = math.prod(cutoffs)
+            rho = random_density(rng, cutoffs, rank=rank)
+            sig = random_density(rng, cutoffs, rank=rank)
+            root = sqrtm(rho.matrix)
+            want = float(np.real(np.trace(sqrtm(root @ sig.matrix @ root)))) ** 2
+            assert fidelity(rho, sig) == pytest.approx(want, abs=1e-8)
 
     def test_zero_norm_rejected(self):
         dead = MultiModeState((3,), np.zeros(3))
@@ -239,7 +248,7 @@ class TestInvariantsAndPlumbing:
             MultiModeState((2,), np.array([1.0, 0.5], dtype=complex))
 
     @pytest.mark.parametrize(
-        "bad", [DensityOperator((2,), np.eye(2) / 2.0), [1.0, 0.0]]
+        "bad", [DensityOperator((2,), np.eye(2) / math.sqrt(2.0)), [1.0, 0.0]]
     )
     def test_pure_state_functions_reject_non_states(self, bad):
         with pytest.raises(TypeError):
@@ -262,11 +271,16 @@ class TestInvariantsAndPlumbing:
             normalize(bad)
 
     def test_density_validation(self, rng):
-        mat = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
+        # rho = F F+ is Hermitian and positive by construction; what can
+        # still be wrong is the factor's shape and the trace ||F||**2
         with pytest.raises(ValueError):
-            DensityOperator((2,), mat)  # negative eigenvalue
+            DensityOperator((2,), np.full(2, 0.5))  # not (dim, rank)
         with pytest.raises(ValueError):
-            DensityOperator((2,), np.array([[0.5, 0.3j], [0.2j, 0.5]]))
+            DensityOperator((2,), np.full((3, 1), 0.5))  # dim 3 != 2
+        with pytest.raises(ValueError):
+            DensityOperator((2,), np.zeros((2, 2)))  # trace 0
+        with pytest.raises(ValueError):
+            DensityOperator((2,), np.eye(2))  # trace 2
         for _ in range(10):
             rho = random_density(rng, (3, 2))
             assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
@@ -282,3 +296,110 @@ class TestInvariantsAndPlumbing:
         state = coherent_state(0.3)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# dense references for the factor routes: the library keeps rho = F F+ and
+# never forms the dim x dim matrix; these build it and work on it directly
+
+
+def _cutoffs(state):
+    if isinstance(state, DensityOperator):
+        return state.basis_cutoffs
+    return state.mode_cutoffs
+
+
+def _psd_sqrt(mat):
+    # eigenvalues at the eigensolver's rounding floor are zeros of a
+    # rank-deficient operator; their square roots (~1e-8) would otherwise
+    # put errors above 1e-8 into the fidelity of about 1 draw in 2,000
+    w, v = np.linalg.eigh(mat)
+    floor = len(w) * np.finfo(float).eps * max(w.max(), 0.0)
+    return (v * np.sqrt(np.where(w > floor, w, 0.0))) @ v.conj().T
+
+
+def dense_fidelity(a, b) -> float:
+    """Zero pad both states to the larger basis, normalize, then take
+    <a|b>, <a|rho|a> or the trace norm of sqrt(rho) sqrt(sigma)."""
+    target = tuple(max(x, y) for x, y in zip(_cutoffs(a), _cutoffs(b)))
+
+    def prep(state):
+        if isinstance(state, DensityOperator):
+            own = state.basis_cutoffs
+            widths = [(0, n - o) for n, o in zip(target, own)] * 2
+            ten = np.pad(state.matrix.reshape(own * 2), widths)
+            dim = math.prod(target)
+            return ten.reshape(dim, dim) / state.trace
+        vec = pad_state(state, target).amplitudes.reshape(-1)
+        return vec / np.linalg.norm(vec)
+
+    xa, xb = prep(a), prep(b)
+    if xa.ndim == 1 and xb.ndim == 1:
+        return abs(np.vdot(xa, xb)) ** 2
+    if xa.ndim == 1:
+        return float(np.real(xa.conj() @ xb @ xa))
+    if xb.ndim == 1:
+        return float(np.real(xb.conj() @ xa @ xb))
+    sing = np.linalg.svd(_psd_sqrt(xa) @ _psd_sqrt(xb), compute_uv=False)
+    return float(np.sum(sing)) ** 2
+
+
+def dense_purity_product(rho) -> tuple[float, float]:
+    """(v_minus, v_plus) from kron-built two-mode quadrature operators."""
+    mat = rho.matrix / rho.trace
+    ca, cb = rho.basis_cutoffs
+    xs, ps = [], []
+    for m, c in enumerate((ca, cb)):
+        a = annihilation(c)
+        for ops, op in ((xs, a + a.conj().T), (ps, -1j * (a - a.conj().T))):
+            ops.append(np.kron(op, np.eye(cb)) if m == 0 else np.kron(np.eye(ca), op))
+
+    def variance(op):
+        mean = np.trace(mat @ op).real
+        return np.trace(mat @ op @ op).real - mean**2
+
+    v_x = {sign: variance(xs[0] + sign * xs[1]) / 2.0 for sign in (-1.0, +1.0)}
+    sign = min(v_x, key=v_x.get)
+    return v_x[sign], variance(ps[0] + sign * ps[1]) / 2.0
+
+
+def _random_two_mode(rng, cutoffs, rank):
+    """Random two-mode state with trace in [0.2, 1]: pure for rank 0,
+    otherwise a ``rank``-column factor."""
+    shape = tuple(cutoffs) + ((rank,) if rank else ())
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps *= math.sqrt(rng.uniform(0.2, 1.0)) / np.linalg.norm(amps)
+    if not rank:
+        return MultiModeState(tuple(cutoffs), amps)
+    return DensityOperator(tuple(cutoffs), amps.reshape(-1, rank))
+
+
+_CUTOFFS = st.tuples(st.integers(1, 5), st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cut_a=_CUTOFFS,
+    cut_b=_CUTOFFS,
+    rank_a=st.integers(0, 4),
+    rank_b=st.integers(0, 4),
+)
+def test_factor_routes_match_dense_references(seed, cut_a, cut_b, rank_a, rank_b):
+    # rank 0 draws a pure state; the two sides get their own per-mode
+    # cutoffs, so the fidelity compares over a sliced shared basis
+    rng = np.random.default_rng(seed)
+    a = _random_two_mode(rng, cut_a, rank_a)
+    b = _random_two_mode(rng, cut_b, rank_b)
+    # mixed-mixed goes through two eigensolves on the dense side
+    tol = 1e-8 if rank_a and rank_b else 1e-12
+    assert fidelity(a, b) == pytest.approx(dense_fidelity(a, b), abs=tol)
+    assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-12)
+    for state in (a, b):
+        rho = state if isinstance(state, DensityOperator) else density_from_state(state)
+        mat = rho.matrix / rho.trace
+        assert purity(rho) == pytest.approx(np.trace(mat @ mat).real, abs=1e-12)
+        report = purity_product(state)
+        v_minus, v_plus = dense_purity_product(rho)
+        assert report.v_minus == pytest.approx(v_minus, abs=1e-12)
+        assert report.v_plus == pytest.approx(v_plus, abs=1e-12)
