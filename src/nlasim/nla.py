@@ -242,27 +242,29 @@ def _flip_odd(state: MultiModeState, mode: int) -> MultiModeState:
     return MultiModeState(state.mode_cutoffs, amps, state.normalized)
 
 
-def _single_pattern_circuit(
-    inp: MultiModeState, arm_count: int, eta: float, signs
-) -> tuple[np.ndarray, float]:
-    """Run the full circuit for one detector pattern per arm.
-
-    ``signs[i] = +1`` heralds on (1, 0) at arm i's detector pair and -1 on
-    (0, 1), the latter followed by the pi feed-forward. Returns the
-    unnormalized output amplitudes (padded to the input cutoff) and the
-    pattern probability.
-    """
-    n = arm_count
+def _split_input(inp: MultiModeState, arm_count: int) -> MultiModeState:
+    """Trim the input to its support, append N-1 vacuum arms and apply the
+    forward N-splitter: the part of the circuit every click pattern shares."""
     nz = np.nonzero(np.abs(inp.amplitudes) > 0.0)[0]
-    support = int(nz[-1]) if nz.size else 0
-    c_arm = support + 1
-
+    c_arm = int(nz[-1]) + 1 if nz.size else 1
     state = MultiModeState((c_arm,), inp.amplitudes[:c_arm], inp.normalized)
-    for _ in range(n - 1):
+    for _ in range(arm_count - 1):
         state = tensor(state, number_state(0, c_arm))
-    splitter = NsplitterSpec.even_split(n)
-    state = apply_nsplitter(state, splitter)
+    return apply_nsplitter(state, NsplitterSpec.even_split(arm_count))
 
+
+def _single_pattern_circuit(
+    state: MultiModeState, cutoff: int, eta: float, signs
+) -> tuple[np.ndarray, float]:
+    """Run the circuit after the forward splitter for one detector pattern.
+
+    ``state`` is ``_split_input`` of the input. ``signs[i] = +1`` heralds
+    on (1, 0) at arm i's detector pair and -1 on (0, 1), the latter
+    followed by the pi feed-forward. Returns the unnormalized output
+    amplitudes (padded to ``cutoff``) and the pattern probability.
+    """
+    n = state.n_modes
+    support = state.mode_cutoffs[0] - 1
     for arm in range(n):
         # ancilla photon split over (kept, mixed) with transmissivity eta
         state = tensor(state, number_state(0, 2))   # kept output mode o
@@ -289,17 +291,13 @@ def _single_pattern_circuit(
     # kept modes hold at most min(n, support) photons in total
     room = max(2, min(n, support) + 1)
     state = pad_state(state, [room] * n)
-    state = apply_nsplitter(state, splitter, inverse=True)
+    state = apply_nsplitter(state, NsplitterSpec.even_split(n), inverse=True)
     for mode in range(n - 1, 0, -1):
         state = project_number(state, mode, 0)
-    out_small = state.amplitudes.reshape(-1)
-
-    cutoff = inp.mode_cutoffs[0]
+    kept = state.amplitudes.reshape(-1)[:cutoff]
     out = np.zeros(cutoff, dtype=np.complex128)
-    length = min(cutoff, out_small.size)
-    out[:length] = out_small[:length]
-    prob = float(np.vdot(out, out).real)
-    return out, prob
+    out[: kept.size] = kept
+    return out, float(np.vdot(out, out).real)
 
 
 def physical_circuit(
@@ -331,10 +329,11 @@ def physical_circuit(
     if norm_sq(inp) <= 0.0:
         raise ValueError("input state has zero norm")
 
+    split = _split_input(inp, arm_count)
     total = 0.0
     reference = None
     for signs in itertools.product((+1, -1), repeat=arm_count):
-        out, prob = _single_pattern_circuit(inp, arm_count, eta, signs)
+        out, prob = _single_pattern_circuit(split, inp.mode_cutoffs[0], eta, signs)
         total += prob
         if all(s == +1 for s in signs):
             reference = (out, prob)

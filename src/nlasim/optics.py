@@ -7,9 +7,17 @@ with intensity transmissivity t, coherent amplitudes transform as
     beta  -> sqrt(t) beta  - sqrt(1 - t) alpha
 
 so a single photon in the first mode goes to
-sqrt(t) |1,0> - sqrt(1 - t) |0,1>. The Fock-basis unitary is built per
-total-photon-number sector; sectors that cannot be represented within the
-mode cutoffs raise rather than silently truncate.
+sqrt(t) |1,0> - sqrt(1 - t) |0,1>.
+
+The beamsplitter conserves the total photon number S, so its Fock-basis
+unitary is a direct sum of blocks on |n, S-n>, n = 0..S: exp(theta G) with
+theta = arccos(sqrt(t)) and G = a+ b - a b+ = -i D X D+, where
+D = diag(i**n) and X is real tridiagonal with off-diagonals
+sqrt((n+1)(S-n)). One ``eigh`` of X = W diag(lam) W^T per sector serves
+every t: block = Re[(D W) diag(exp(-i theta lam)) (D W)+], unitary to
+rounding at any S; its vacuum-input column takes the closed form
+sqrt(C(S, j)) s**j c**(S-j). A state is transformed sector by sector;
+sectors beyond the mode cutoffs raise rather than silently truncate.
 """
 
 from __future__ import annotations
@@ -90,44 +98,38 @@ class NsplitterSpec:
 
 
 @lru_cache(maxsize=512)
+def _sector_modes(sector: int) -> tuple:
+    """Eigenpairs of the real tridiagonal X with off-diagonals
+    sqrt((n+1)(S-n)) on the basis |n, S-n>; they do not depend on t."""
+    off = np.sqrt(np.arange(1, sector + 1) * np.arange(sector, 0, -1.0))
+    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+
+
+@lru_cache(maxsize=512)
 def _sector_block(t: float, sector: int) -> np.ndarray:
     """Unitary block on the span of |n, S-n>, n = 0..S, for one sector S."""
-    c = math.sqrt(t)
-    s = math.sqrt(1.0 - t)
-    size = sector + 1
-    block = np.zeros((size, size))
-    fact = [math.factorial(k) for k in range(size)]
-    for n in range(size):
-        m = sector - n
-        # (c a+ - s b+)**n (s a+ + c b+)**m expanded in powers of a+
-        p = np.array([math.comb(n, i) * c**i * (-s) ** (n - i) for i in range(n + 1)])
-        q = np.array([math.comb(m, k) * s**k * c ** (m - k) for k in range(m + 1)])
-        coeffs = np.convolve(p, q)
-        for j in range(size):
-            block[j, n] = coeffs[j] * math.sqrt(
-                fact[j] * fact[sector - j] / (fact[n] * fact[m])
-            )
+    lam, w = _sector_modes(sector)
+    k = np.arange(sector + 1)
+    v = np.array([1, 1j, -1, -1j])[k % 4, None] * w
+    c, s = math.sqrt(t), math.sqrt(1.0 - t)
+    theta = math.atan2(s, c)  # arccos(c), without its rounding blow-up near t = 1
+    block = ((v * np.exp(-1j * theta * lam)) @ v.conj().T).real.copy()
+    binom = np.sqrt([float(math.comb(sector, j)) for j in k])
+    # the vacuum-input column, exact and free of cancellation; powers first, so
+    # a 50:50 split against vacuum is mirror-exact to the last bit (equal clones)
+    block[:, 0] = binom * (s**k * c ** (sector - k))
     block.setflags(write=False)
     return block
 
 
 @lru_cache(maxsize=64)
-def _two_mode_matrix(t: float, ci: int, cj: int) -> np.ndarray:
-    """Full (ci*cj) x (ci*cj) matrix of the beamsplitter unitary, block
-    diagonal per representable sector. Columns of unrepresentable input
-    sectors stay zero; callers must clear them beforehand."""
-    dim = ci * cj
-    mat = np.zeros((dim, dim))
-    for sector in range(min(ci, cj)):
-        block = _sector_block(t, sector)
-        idx = [n * cj + (sector - n) for n in range(sector + 1)]
-        mat[np.ix_(idx, idx)] = block
-    mat.setflags(write=False)
-    return mat
-
-
-def _sector_grid(ci: int, cj: int) -> np.ndarray:
-    return np.add.outer(np.arange(ci), np.arange(cj))
+def _sector_rows(ci: int, cj: int) -> tuple:
+    """Flat (n, m) indices of the representable sectors S < min(ci, cj),
+    sector by sector with n ascending, and the indices past them."""
+    n, m = np.divmod(np.arange(ci * cj), cj)
+    order = np.argsort(n + m, kind="stable")
+    size = min(ci, cj) * (min(ci, cj) + 1) // 2
+    return order[:size], order[size:]
 
 
 def apply_beamsplitter(
@@ -147,26 +149,25 @@ def apply_beamsplitter(
         return mm
     ci, cj = mm.mode_cutoffs[i], mm.mode_cutoffs[j]
 
-    amps = np.moveaxis(mm.amplitudes, (i, j), (-2, -1))
-    lead = amps.shape[:-2]
-    flat = amps.reshape(-1, ci * cj)
-
-    smax = min(ci, cj) - 1
-    over = (_sector_grid(ci, cj) > smax).reshape(-1)
-    if over.any():
-        mass = float(np.sum(np.abs(flat[:, over]) ** 2))
+    amps = np.moveaxis(mm.amplitudes, (i, j), (0, 1))
+    flat = amps.reshape(ci * cj, -1)
+    rows, over = _sector_rows(ci, cj)
+    if over.size:
+        mass = float(np.sum(np.abs(flat[over]) ** 2))
         if mass > overflow_tol:
             raise TruncationError(
                 f"photon overflow past cutoffs ({ci}, {cj}): sector mass {mass:.3g}"
             )
-        if mass:
-            flat = flat.copy()
-            flat[:, over] = 0.0
 
-    out = flat @ _two_mode_matrix(spec.transmissivity, ci, cj).T
-    out = np.moveaxis(out.reshape(lead + (ci, cj)), (-2, -1), (i, j))
-    result = MultiModeState(mm.mode_cutoffs, out, mm.normalized)
-    return result
+    sectors = flat[rows]
+    for sector in range(1, min(ci, cj)):
+        lo = sector * (sector + 1) // 2
+        part = sectors[lo : lo + sector + 1]
+        part[...] = _sector_block(spec.transmissivity, sector) @ part
+    out = np.zeros_like(flat)
+    out[rows] = sectors
+    out = np.moveaxis(out.reshape(amps.shape), (0, 1), (i, j))
+    return MultiModeState(mm.mode_cutoffs, out, mm.normalized)
 
 
 def apply_nsplitter(state, spec: NsplitterSpec, inverse: bool = False):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from nlasim import (
@@ -24,6 +26,7 @@ from nlasim import (
     tensor,
     vacuum,
 )
+from nlasim.optics import _sector_block
 from conftest import random_fock, random_multimode
 
 
@@ -34,6 +37,91 @@ def expm_beamsplitter(t, ci, cj):
     b = np.kron(np.eye(ci), annihilation(cj))
     gen = a.conj().T @ b - a @ b.conj().T
     return expm(math.acos(math.sqrt(t)) * gen)
+
+
+def binomial_block(t, sector):
+    """Reference sector block by direct expansion of
+    (c a+ - s b+)**n (s a+ + c b+)**(S-n) in powers of a+. The alternating
+    signs cancel more digits as S grows, so it serves only up to S = 30."""
+    c = math.sqrt(t)
+    s = math.sqrt(1.0 - t)
+    size = sector + 1
+    block = np.zeros((size, size))
+    fact = [math.factorial(k) for k in range(size)]
+    for n in range(size):
+        m = sector - n
+        p = np.array([math.comb(n, i) * c**i * (-s) ** (n - i) for i in range(n + 1)])
+        q = np.array([math.comb(m, k) * s**k * c ** (m - k) for k in range(m + 1)])
+        coeffs = np.convolve(p, q)
+        for j in range(size):
+            block[j, n] = coeffs[j] * math.sqrt(
+                fact[j] * fact[sector - j] / (fact[n] * fact[m])
+            )
+    return block
+
+
+def angle(t):
+    """Mixing angle arccos(sqrt(t)), computed as the blocks compute it."""
+    return math.atan2(math.sqrt(1.0 - t), math.sqrt(t))
+
+
+class TestSectorBlocks:
+    def test_matches_binomial_expansion(self):
+        for sector in range(31):
+            for t in np.linspace(0.0, 1.0, 21):
+                diff = _sector_block(float(t), sector) - binomial_block(t, sector)
+                assert np.max(np.abs(diff)) <= 1e-12, (sector, t)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        sector=st.integers(0, 400),
+        t1=st.floats(0.0, 1.0),
+        t2=st.floats(0.0, 1.0),
+    )
+    def test_unitary_and_composing(self, sector, t1, t2):
+        b1, b2 = _sector_block(t1, sector), _sector_block(t2, sector)
+        assert np.max(np.abs(b1 @ b1.T - np.eye(sector + 1))) <= 1e-13
+        theta = angle(t1) + angle(t2)
+        assume(theta <= math.pi / 2)
+        # rounding t3 moves the angle slightly; the block moves by at most
+        # S times that, since the generator's eigenvalues lie in [-S, S]
+        t3 = math.cos(theta) ** 2
+        slip = sector * abs(theta - angle(t3))
+        diff = b1 @ b2 - _sector_block(t3, sector)
+        assert np.max(np.abs(diff)) <= 1e-13 + slip
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sector=st.integers(1, 120),
+        t=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inverted_spec_undoes(self, sector, t, seed):
+        # a random state on |n, S-n> at cutoffs (S+1, S+1)
+        rng = np.random.default_rng(seed)
+        n = np.arange(sector + 1)
+        amps = np.zeros((sector + 1, sector + 1), dtype=np.complex128)
+        live = rng.normal(size=(2, sector + 1))
+        amps[n, sector - n] = live[0] + 1j * live[1]
+        state = MultiModeState(amps.shape, amps / np.linalg.norm(amps), True)
+        spec = BeamsplitterSpec(t, (0, 1))
+        back = apply_beamsplitter(apply_beamsplitter(state, spec), spec.inverted())
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-13
+
+    def test_balanced_split_against_vacuum_is_mirror_symmetric(self, rng):
+        # both clones of a 50:50 split must agree to the last bit
+        for cutoff in (5, 17, 40):
+            state = tensor(vacuum(cutoff), random_fock(rng, cutoff))
+            out = apply_beamsplitter(state, BeamsplitterSpec(0.5, (0, 1)))
+            assert np.array_equal(out.amplitudes, out.amplitudes.T)
+
+    @pytest.mark.parametrize("n, cutoff, t", [(40, 81, 0.5), (30, 61, 0.3)])
+    def test_high_sector_keeps_norm(self, n, cutoff, t):
+        amps = np.zeros((cutoff, cutoff), dtype=np.complex128)
+        amps[n, n] = 1.0 / math.sqrt(2.0)
+        state = MultiModeState((cutoff, cutoff), amps)
+        out = apply_beamsplitter(state, BeamsplitterSpec(t, (0, 1)))
+        assert abs(norm_sq(out) - 0.5) <= 0.5e-12
 
 
 class TestBeamsplitter:

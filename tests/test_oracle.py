@@ -19,7 +19,7 @@ from nlasim import (
     tensor,
     vacuum,
 )
-from nlasim.nla import _single_pattern_circuit
+from nlasim.nla import _single_pattern_circuit, _split_input
 from nlasim.verification import oracle_equivalence_report, random_support_state
 
 
@@ -29,7 +29,7 @@ class TestSingleArm:
         out, herald = physical_circuit(vacuum(1), 1, eta)
         assert herald.success_probability == pytest.approx(eta, rel=1e-12)
         for signs in [(+1,), (-1,)]:
-            _, prob = _single_pattern_circuit(vacuum(1), 1, eta, signs)
+            _, prob = _single_pattern_circuit(_split_input(vacuum(1), 1), 1, eta, signs)
             assert prob == pytest.approx(eta / 2.0, rel=1e-12)
 
     def test_plus_state_hand_computation(self):
@@ -48,7 +48,7 @@ class TestSingleArm:
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         state = MultiModeState((4,), amps / np.linalg.norm(amps), normalized=True)
         for sign in (+1, -1):
-            raw, prob = _single_pattern_circuit(state, 1, eta, (sign,))
+            raw, prob = _single_pattern_circuit(_split_input(state, 1), 4, eta, (sign,))
             kraus_out = scissor_outcome(eta, sign, 4).kraus.apply(state)
             corrected = kraus_out.amplitudes.copy()
             if sign == -1:
@@ -63,7 +63,7 @@ class TestPatternBookkeeping:
         probs = []
         states = []
         for signs in itertools.product((+1, -1), repeat=2):
-            out, prob = _single_pattern_circuit(state, 2, 0.3, signs)
+            out, prob = _single_pattern_circuit(_split_input(state, 2), 4, 0.3, signs)
             probs.append(prob)
             states.append(out)
         assert max(probs) - min(probs) < 1e-14
