@@ -6,12 +6,18 @@ configuration, the code version and the provenance of every analytic
 target recorded in the header. Identical configuration and seed give
 byte-identical files.
 
-Each subcommand is one function that maps its parsed flags to a params
-dict, which is recorded as the header's config and passed to its table
-builder. The parser owns only flag-level rules: exclusive
-flags, finite numbers (``nan`` and ``inf`` are rejected) and positive
-counts for ``--arms``, ``--cutoff`` and ``--samples``. Every other range
-is checked by the library. ``--sweep NAME=A:B:N`` is taken only by fig3
+Every subcommand keeps one contract. Its run function maps the parsed
+flags to a params dict that is exactly the keyword arguments of its
+table builder, and records that dict as the header's config; fig3 and
+fig4 add their sweeps, recorded as ``sweep_NAME`` and passed as
+``NAMEs``. The config therefore reproduces the table. ``seed`` is
+recorded by every subcommand and read only by verify. The builder
+returns a ``TableResult`` whose columns are the keys of its rows.
+
+The parser owns only flag-level rules: exclusive flags, finite numbers
+(``nan`` and ``inf`` are rejected) and positive counts for ``--arms``,
+``--cutoff`` and ``--samples``. Every other range is checked by the
+library. ``--sweep NAME=A:B:N`` is taken only by fig3
 (names gain, alpha) and fig4 (name gain). distill and clone reject
 ``--arms`` together with ``--asymptotic``, since an ideal run has no arm
 count; amplify takes both, because there ``--arms`` sizes the cutoff.
@@ -45,7 +51,7 @@ from .experiments import (
     fig4_table,
 )
 from .nla import eta_from_gain
-from .verification import analytic_identities_report, oracle_equivalence_report
+from .verification import verify_table
 
 
 def _jsonable(value):
@@ -175,97 +181,19 @@ def _distill(args):
 
 
 def _clone(args):
-    arms = None if args.asymptotic else args.arms or 5
     params = {
         "alpha": args.alpha,
-        "arms": arms,
+        "arms": None if args.asymptotic else args.arms or 5,
         "eta": args.eta,
         "asymptotic": args.asymptotic,
         "cutoff": args.cutoff,
     }
-    # the builder reads an ideal run from arms=None
-    return params, clone_table(
-        alpha=args.alpha, arms=arms, eta=args.eta, cutoff=args.cutoff
-    )
+    return params, clone_table(**params)
 
 
 def _verify(args):
-    arm_counts = [1, 2, 3]
-    if args.arms is not None and args.arms not in arm_counts:
-        arm_counts.append(args.arms)
-    oracle = oracle_equivalence_report(
-        arm_counts=tuple(arm_counts), seed=args.seed
-    )
-    identities = analytic_identities_report(
-        seed=args.seed, mc_samples=args.samples
-    )
-    rows = [
-        {
-            "check": "oracle_equivalence",
-            "status": "pass" if oracle["passed"] else "fail",
-            "max_deviation": max(
-                oracle["max_infidelity"], oracle["max_prob_rel_err"]
-            ),
-            "detail": (
-                f"max infidelity {oracle['max_infidelity']:.3g}; "
-                f"max prob rel err {oracle['max_prob_rel_err']:.3g}"
-            ),
-        }
-    ]
-    for skip in oracle["skipped"]:
-        rows.append(
-            {
-                "check": f"oracle_equivalence_arms_{skip['arms']}",
-                "status": "skipped",
-                "max_deviation": math.nan,
-                "detail": skip["reason"],
-            }
-        )
-    chi = identities["chi_prime_lossless"]
-    rows.append(
-        {
-            "check": "chi_prime_lossless",
-            "status": "pass" if chi["passed"] else "fail",
-            "max_deviation": chi["max_rel_err"],
-            "detail": "chi' = g * chi on a lossless line",
-        }
-    )
-    grid = identities["effective_params_grid"]
-    rows.append(
-        {
-            "check": "effective_params_grid",
-            "status": "pass" if grid["passed"] else "fail",
-            "max_deviation": 1.0 - grid["min_fidelity"],
-            "detail": f"min fidelity {grid['min_fidelity']:.12g} over the grid",
-        }
-    )
-    mc = identities["postselected_prior_mc"]
-    rows.append(
-        {
-            "check": "postselected_prior_mc",
-            "status": "pass" if mc["passed"] else "fail",
-            "max_deviation": mc["z_score"],
-            "detail": (
-                f"estimate {mc['estimate']:.6g} vs expected {mc['expected']:.6g} "
-                f"({mc['n_accepted']} accepted; z = {mc['z_score']:.3g})"
-            ),
-        }
-    )
-    guards = identities["nonconvergence_guards"]
-    rows.append(
-        {
-            "check": "nonconvergence_guards",
-            "status": "pass" if guards["passed"] else "fail",
-            "max_deviation": 0.0 if guards["passed"] else 1.0,
-            "detail": "guards fire exactly at the unnormalizable boundaries",
-        }
-    )
-    result = TableResult(
-        ("check", "status", "max_deviation", "detail"),
-        rows,
-        ("self-check suites over the circuit oracle and the analytic maps",),
-    )
-    return {"arms": args.arms, "samples": args.samples}, result
+    params = {"arms": args.arms, "samples": args.samples, "seed": args.seed}
+    return params, verify_table(**params)
 
 
 def _build_parser() -> _Parser:
@@ -377,11 +305,12 @@ def _write_table(config: dict, result: TableResult, stream):
         "config": config,
         "provenance": list(result.provenance),
     }
+    columns = result.columns
     if config["format"] == "json":
         payload = dict(meta)
-        payload["columns"] = list(result.columns)
+        payload["columns"] = list(columns)
         payload["rows"] = [
-            {k: _jsonable(row.get(k)) for k in result.columns} for row in result.rows
+            {k: _jsonable(row[k]) for k in columns} for row in result.rows
         ]
         stream.write(json.dumps(payload, indent=2, sort_keys=True))
         stream.write("\n")
@@ -390,9 +319,9 @@ def _write_table(config: dict, result: TableResult, stream):
     stream.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
     for line in result.provenance:
         stream.write(f"# provenance: {line}\n")
-    stream.write(",".join(result.columns) + "\n")
+    stream.write(",".join(columns) + "\n")
     for row in result.rows:
-        stream.write(",".join(_fmt_cell(row.get(c)) for c in result.columns) + "\n")
+        stream.write(",".join(_fmt_cell(row[c]) for c in columns) + "\n")
 
 
 def _silence_stdout():

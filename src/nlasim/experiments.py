@@ -17,7 +17,6 @@ from .applications import (
     clone_fidelities,
     distill_numeric,
     distill_params,
-    distill_purity_tradeoff,
     purity_product,
 )
 from .fock import (
@@ -32,6 +31,7 @@ from .fock import (
 )
 from .nla import (
     asymptotic_operator,
+    eta_from_gain,
     gain_from_eta,
     misfire_density,
     misfire_terms,
@@ -47,9 +47,15 @@ FIDELITY_NOTE = (
 
 @dataclass(frozen=True)
 class TableResult:
-    columns: tuple
+    """A table as rows that share their keys, in column order, plus the
+    provenance of every analytic target it compares against."""
+
     rows: list
     provenance: tuple
+
+    @property
+    def columns(self) -> tuple:
+        return tuple(self.rows[0])
 
 
 def amplify_table(
@@ -119,23 +125,12 @@ def amplify_table(
                 "zero_output": zero_output,
             }
         )
-    columns = (
-        "n",
-        "amp_re",
-        "amp_im",
-        "prob_n",
-        "success_prob",
-        "success_prob_pct",
-        "fidelity",
-        "target_gain",
-        "zero_output",
-    )
     prov = (
         "target state: coherent(gain * alpha) at the device gain "
         "g = sqrt((1 - eta) / eta); number-state inputs keep themselves as target",
         FIDELITY_NOTE,
     )
-    return TableResult(columns, rows, prov)
+    return TableResult(rows, prov)
 
 
 def _misfire_table(alpha, arms, eta, gamma, cutoff, gain) -> TableResult:
@@ -162,17 +157,6 @@ def _misfire_table(alpha, arms, eta, gamma, cutoff, gain) -> TableResult:
         }
         for n in range(cutoff)
     ]
-    columns = (
-        "n",
-        "prob_n",
-        "success_prob",
-        "success_prob_pct",
-        "purity",
-        "term_fidelity",
-        "fidelity",
-        "target_gain",
-        "gamma",
-    )
     prov = (
         "first-order misfire model: accepted runs where one single-photon "
         "source emitted nothing mix a shorter product branch into the output",
@@ -180,7 +164,7 @@ def _misfire_table(alpha, arms, eta, gamma, cutoff, gain) -> TableResult:
         "prob_n is the normalized output photon-number distribution",
         FIDELITY_NOTE,
     )
-    return TableResult(columns, rows, prov)
+    return TableResult(rows, prov)
 
 
 def fig3_table(
@@ -222,21 +206,12 @@ def fig3_table(
                         "device_gain": g_dev,
                     }
                 )
-    columns = (
-        "eta",
-        "alpha",
-        "target_gain",
-        "fidelity",
-        "success_prob",
-        "success_prob_pct",
-        "device_gain",
-    )
     prov = (
         "target state: coherent(target_gain * alpha); the device gain per "
         "eta is sqrt((1 - eta) / eta)",
         FIDELITY_NOTE,
     )
-    return TableResult(columns, rows, prov)
+    return TableResult(rows, prov)
 
 
 def fig4_table(
@@ -248,28 +223,42 @@ def fig4_table(
     cutoff: int | None = None,
 ) -> TableResult:
     """Purity-versus-success trade-off of distillation through a lossy
-    line, holding the distilled correlation strength fixed."""
+    line, holding the distilled correlation strength fixed.
+
+    The channel transmission is held at ``loss`` and the distilled
+    two-mode squeezing at ``tanh(squeeze_r)``; for each gain the source
+    squeezing is solved from the effective-parameter map and the stage
+    transmissivity from the gain. Higher gain buys a purer output at a
+    lower success probability.
+    """
     if gains is None:
         gains = np.linspace(1.0, 3.0, 9)
-    gains = [float(g) for g in gains]
-
-    rows = distill_purity_tradeoff(
-        gains, epsilon=loss, target_r=squeeze_r, arm_count=arms, cutoff=cutoff
-    )
-    for row in rows:
-        row["success_prob_pct"] = 100.0 * row["success_prob"]
-    columns = (
-        "chi_source",
-        "gain",
-        "arms",
-        "eta",
-        "success_prob",
-        "success_prob_pct",
-        "v_minus",
-        "v_plus",
-        "product",
-        "fidelity",
-    )
+    if not 0.0 <= loss <= 1.0:
+        raise ValueError("transmission must lie in [0, 1]")
+    chi_target = math.tanh(squeeze_r)
+    rows = []
+    for gain in map(float, gains):
+        # rejects gain <= 0 before it can zero or negate the boost
+        eta = eta_from_gain(gain)
+        boost = 1.0 + (gain**2 - 1.0) * loss
+        chi_source = chi_target / math.sqrt(boost)
+        rho, herald, fid = distill_numeric(chi_source, loss, arms, eta, cutoff)
+        report = purity_product(rho)
+        prob = herald.success_probability
+        rows.append(
+            {
+                "chi_source": chi_source,
+                "gain": gain,
+                "arms": arms,
+                "eta": eta,
+                "success_prob": prob,
+                "success_prob_pct": 100.0 * prob,
+                "v_minus": report.v_minus,
+                "v_plus": report.v_plus,
+                "product": report.product,
+                "fidelity": fid,
+            }
+        )
     prov = (
         f"protocol: channel transmission fixed at {loss}, distilled "
         f"correlation fixed at tanh({squeeze_r}); the source squeezing is "
@@ -280,7 +269,7 @@ def fig4_table(
         "quadrature normalization: vacuum variance 1, so pure two-mode "
         "squeezing gives product exactly 1",
     )
-    return TableResult(columns, rows, prov)
+    return TableResult(rows, prov)
 
 
 def distill_table(
@@ -294,16 +283,13 @@ def distill_table(
     asymptotic: bool = False,
     target_r: float | None = None,
 ) -> TableResult:
-    """Single distillation run with effective parameters and purity."""
-    if asymptotic:
-        arms_used = None
-        gain_used = gain if gain is not None else gain_from_eta(eta)
-    else:
-        arms_used = arms
-        gain_used = gain_from_eta(eta) if eta is not None else gain
-    rho, herald, fid = distill_numeric(
-        chi, loss, arms_used, eta, cutoff, gain=gain_used if eta is None else None
-    )
+    """Single distillation run with effective parameters and purity.
+
+    ``eta`` and ``gain`` are exclusive: pass ``eta=None`` with a gain.
+    """
+    arms_used = None if asymptotic else arms
+    rho, herald, fid = distill_numeric(chi, loss, arms_used, eta, cutoff, gain=gain)
+    gain_used = gain_from_eta(eta) if gain is None else gain
     params = distill_params(chi, loss, gain_used)
     report = purity_product(rho)
     prob = herald.success_probability
@@ -346,24 +332,29 @@ def distill_table(
             "fidelity_vs_target_r target: pure two-mode squeezed state "
             "with chi = tanh(target_r)"
         )
-    return TableResult(tuple(row.keys()), [row], tuple(prov))
+    return TableResult([row], tuple(prov))
 
 
 def clone_table(
     *,
     alpha: complex,
-    arms: int | None = None,
+    arms: int | None = 5,
     eta: float = 1.0 / 3.0,
+    asymptotic: bool = False,
     cutoff: int | None = None,
 ) -> TableResult:
-    """Clone a coherent state and report per-clone fidelities."""
-    pair, herald = clone_coherent(alpha, arms, eta, cutoff)
+    """Clone a coherent state and report per-clone fidelities.
+
+    ``asymptotic`` runs the ideal map, which has no arm count.
+    """
+    arms_used = None if asymptotic else arms
+    pair, herald = clone_coherent(alpha, arms_used, eta, cutoff)
     f1, f2 = clone_fidelities(pair, alpha)
     prob = herald.success_probability
     row = {
         "alpha_re": complex(alpha).real,
         "alpha_im": complex(alpha).imag,
-        "arms": arms,
+        "arms": arms_used,
         "eta": eta,
         "success_prob": prob,
         "success_prob_pct": None if prob is None else 100.0 * prob,
@@ -375,4 +366,4 @@ def clone_table(
         "against vacuum; each clone is compared with the input coherent state",
         FIDELITY_NOTE,
     )
-    return TableResult(tuple(row.keys()), [row], prov)
+    return TableResult([row], prov)

@@ -124,32 +124,6 @@ class DensityOperator:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ModeOperator:
-    """Dense single-mode operator mapping a basis of size ``in_cutoff``
-    to one of size ``out_cutoff``."""
-
-    in_cutoff: int
-    out_cutoff: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        mat = _frozen_array(self.matrix)
-        if mat.shape != (self.out_cutoff, self.in_cutoff):
-            raise ValueError(
-                f"matrix shape {mat.shape} != ({self.out_cutoff}, {self.in_cutoff})"
-            )
-        object.__setattr__(self, "matrix", mat)
-
-    def apply(self, state: MultiModeState) -> MultiModeState:
-        if _pure(state).mode_cutoffs != (self.in_cutoff,):
-            raise ValueError("cutoff mismatch")
-        return MultiModeState((self.out_cutoff,), self.matrix @ state.amplitudes)
-
-    def __repr__(self):
-        return f"ModeOperator({self.in_cutoff} -> {self.out_cutoff})"
-
-
 # ---------------------------------------------------------------------------
 # constructors
 

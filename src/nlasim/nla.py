@@ -30,7 +30,6 @@ import numpy as np
 from .errors import NonconvergentError
 from .fock import (
     DensityOperator,
-    ModeOperator,
     MultiModeState,
     _pure,
     norm_sq,
@@ -57,34 +56,6 @@ def eta_from_gain(gain: float) -> float:
     if gain <= 0.0:
         raise ValueError("gain must be positive")
     return 1.0 / (1.0 + gain**2)
-
-
-@dataclass(frozen=True)
-class ScissorOutcome:
-    """One heralded scissors branch: which detector pattern fired (sign)
-    and the Kraus operator it applies.
-
-    The Kraus maps |0> -> sqrt(eta/2) |0>, |1> -> sign * sqrt((1-eta)/2) |1>
-    and kills |n >= 2>.
-    """
-
-    sign: int
-    kraus: ModeOperator
-
-    def __post_init__(self):
-        if self.sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-
-def scissor_outcome(eta: float, sign: int = +1, in_cutoff: int = 2) -> ScissorOutcome:
-    """Analytic single-stage Kraus operator for one detector pattern."""
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
-    mat = np.zeros((2, in_cutoff), dtype=np.complex128)
-    mat[0, 0] = math.sqrt(eta / 2.0)
-    if in_cutoff > 1:
-        mat[1, 1] = sign * math.sqrt((1.0 - eta) / 2.0)
-    return ScissorOutcome(sign, ModeOperator(in_cutoff, 2, mat))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,6 @@ from nlasim import (
     clone_fidelities,
     distill_numeric,
     distill_params,
-    distill_purity_tradeoff,
     epr_state,
     fidelity,
     loss_channel,
@@ -23,6 +22,7 @@ from nlasim import (
     tensor,
     vacuum,
 )
+from nlasim.experiments import distill_table, fig4_table
 
 
 class TestCloner:
@@ -101,7 +101,7 @@ class TestDistillParams:
             with pytest.raises(ValueError, match="transmission"):
                 distill_params(0.2, bad_eps, 2.0)
             with pytest.raises(ValueError, match="transmission"):
-                distill_purity_tradeoff([3.0], epsilon=bad_eps)
+                fig4_table(gains=[3.0], loss=bad_eps)
 
     def test_monotone_improvement(self):
         # both effective parameters increase whenever g > 1 on a lossy line
@@ -137,6 +137,17 @@ class TestDistillNumeric:
         want = float(np.sum(weights * coeffs**2))
         assert herald.success_probability == pytest.approx(want, rel=1e-10)
         assert rho.trace == pytest.approx(want, rel=1e-10)
+
+    def test_eta_and_gain_are_exclusive(self):
+        # with both, a run could amplify at one strength and report the
+        # other, so both (and neither) are rejected
+        for arms in (None, 2):
+            with pytest.raises(ValueError, match="exactly one of eta / gain"):
+                distill_numeric(0.1, 0.5, arms, 0.05, gain=2.0)
+            with pytest.raises(ValueError, match="exactly one of eta / gain"):
+                distill_numeric(0.1, 0.5, arms)
+        with pytest.raises(ValueError, match="exactly one of eta / gain"):
+            distill_table(chi=0.1, loss=0.5, asymptotic=True, eta=0.05, gain=2.0)
 
     def test_unphysical_asymptotic_raises(self):
         with pytest.raises(NonconvergentError):

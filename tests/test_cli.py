@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,14 @@ from hypothesis import strategies as st
 import nlasim.nla
 from nlasim import DiagonalAmplifierOp
 from nlasim.cli import main
+from nlasim.experiments import (
+    amplify_table,
+    clone_table,
+    distill_table,
+    fig3_table,
+    fig4_table,
+)
+from nlasim.verification import verify_table
 
 
 def run_cli(args, capsys):
@@ -155,11 +164,81 @@ class TestExitCodes:
         assert "oracle_equivalence,fail" in out
 
     def test_verify_skips_beyond_oracle_limit(self, capsys):
+        # the whole verify layout: the skipped arm count comes second, and
+        # the Monte-Carlo and guard rows are exact at this budget and seed
         code, out, _ = run_cli(
-            ["verify", "--samples", "30000", "--arms", "7"], capsys
+            ["verify", "--samples", "20000", "--arms", "7"], capsys
         )
         assert code == 0
-        assert "skipped" in out and "beyond oracle limit" in out
+        lines = [l for l in out.splitlines() if not l.startswith("#")]
+        assert lines[0] == "check,status,max_deviation,detail"
+        rows = [line.split(",", 3) for line in lines[1:]]
+        assert [row[0] for row in rows] == [
+            "oracle_equivalence",
+            "oracle_equivalence_arms_7",
+            "chi_prime_lossless",
+            "effective_params_grid",
+            "postselected_prior_mc",
+            "nonconvergence_guards",
+        ]
+        assert [row[1] for row in rows] == [
+            "pass", "skipped", "pass", "pass", "pass", "pass"
+        ]
+        assert lines[2] == "oracle_equivalence_arms_7,skipped,nan,beyond oracle limit 4"
+        assert lines[5] == (
+            "postselected_prior_mc,pass,2.51141474313,estimate 0.588816 vs "
+            "expected 0.428571 (73 accepted; z = 2.51)"
+        )
+        assert lines[6] == (
+            "nonconvergence_guards,pass,0,guards fire exactly at the "
+            "unnormalizable boundaries"
+        )
+
+
+# One argv per subcommand. Its recorded config, less the keys that only
+# shape the output, is the builder's keyword arguments: seed is read only
+# by verify, and a sweep_NAME key is the builder's NAMEs argument.
+CONTRACT = {
+    "amplify": (amplify_table, "amplify --alpha 0.2,0.1 --arms 3 --gain 1.3"),
+    "fig3": (
+        fig3_table,
+        "fig3 --arms 2 --eta 0.3 --sweep gain=1.2:1.6:3 --sweep alpha=0.3:0.5:2",
+    ),
+    "fig4": (fig4_table, "fig4 --arms 1 --cutoff 12 --sweep gain=1.5:2:2"),
+    "distill": (
+        distill_table,
+        "distill --chi 0.2 --loss 0.5 --asymptotic --gain 1.5 --target-r 0.3",
+    ),
+    "clone": (clone_table, "clone --alpha 0.5,0.2 --asymptotic"),
+    "verify": (verify_table, "verify --samples 20000 --arms 7 --seed 3"),
+}
+
+
+def _same_cell(a, b):
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_recorded_config_reproduces_table(name, capsys):
+    builder, argv = CONTRACT[name]
+    code, out, _ = run_cli(argv.split() + ["--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    kwargs = dict(payload["config"])
+    del kwargs["subcommand"], kwargs["format"]
+    if name != "verify":
+        del kwargs["seed"]
+    for key in [k for k in kwargs if k.startswith("sweep_")]:
+        kwargs[key.removeprefix("sweep_") + "s"] = kwargs.pop(key)
+    if isinstance(kwargs.get("alpha"), list):
+        kwargs["alpha"] = complex(*kwargs["alpha"])
+    result = builder(**kwargs)
+    assert list(result.columns) == payload["columns"]
+    assert len(result.rows) == len(payload["rows"])
+    for row, emitted in zip(result.rows, payload["rows"]):
+        assert row.keys() == emitted.keys()
+        for key, value in row.items():
+            assert _same_cell(value, emitted[key]), key
 
 
 class TestFigureTables:
@@ -223,6 +302,7 @@ BAD_INPUTS = [
     "amplify --alpha 0.1 --cutoff 0",  # 1 by traceback
     "clone --alpha 0.5 --cutoff 0",  # 1 by traceback
     "verify --samples 0",  # 1 by traceback
+    "verify --samples 1000",  # 2
     "distill --chi 0.2 --loss 0.5 --gain -1.5",  # 1 by traceback
     "fig4 --loss 1 --sweep gain=0:0:1",  # 1 by traceback
     "clone --alpha=2,0.5 --eta 0.05",  # 1 by traceback: an 8.2 GiB matrix

@@ -18,7 +18,6 @@ from nlasim import (
     norm_sq,
     number_state,
     purity,
-    scissor_outcome,
     success_probability_asymptotic,
     vacuum,
 )
@@ -162,21 +161,6 @@ class TestTargetGainPeak:
         large = peak_gain_sq(0.25)
         assert 5.7 <= small <= 6.3
         assert large < small
-
-
-class TestScissorKraus:
-    def test_matrix_elements(self):
-        for sign in (+1, -1):
-            out = scissor_outcome(0.3, sign, in_cutoff=4)
-            mat = out.kraus.matrix
-            assert mat[0, 0] == pytest.approx(math.sqrt(0.15))
-            assert mat[1, 1] == pytest.approx(sign * math.sqrt(0.35))
-            assert np.all(mat[:, 2:] == 0.0)
-
-    def test_gain_relation(self):
-        out = scissor_outcome(0.2)
-        mat = out.kraus.matrix
-        assert mat[1, 1] / mat[0, 0] == pytest.approx(gain_from_eta(0.2))
 
 
 class TestMisfire:

@@ -15,7 +15,6 @@ from nlasim import (
     norm_sq,
     number_state,
     physical_circuit,
-    scissor_outcome,
     tensor,
     vacuum,
 )
@@ -43,14 +42,17 @@ class TestSingleArm:
         assert fidelity(out, want) > 1 - 1e-12
 
     def test_matches_analytic_kraus_per_pattern(self, rng):
-        # single stage output = analytic Kraus / sqrt(2) for either pattern
+        # single stage output = analytic Kraus / sqrt(2) for either pattern:
+        # |0> -> sqrt(eta/2) |0>, |1> -> sign * sqrt((1-eta)/2) |1>, |n>=2> -> 0
         eta = 0.4
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         state = MultiModeState((4,), amps / np.linalg.norm(amps), normalized=True)
         for sign in (+1, -1):
             raw, prob = _single_pattern_circuit(_split_input(state, 1), 4, eta, (sign,))
-            kraus_out = scissor_outcome(eta, sign, 4).kraus.apply(state)
-            corrected = kraus_out.amplitudes.copy()
+            kraus = np.array(
+                [math.sqrt(eta / 2.0), sign * math.sqrt((1.0 - eta) / 2.0)]
+            )
+            corrected = kraus * state.amplitudes[:2]
             if sign == -1:
                 corrected[1] *= -1.0  # pi feed-forward
             assert np.max(np.abs(raw[:2] - corrected)) < 1e-12
