@@ -366,9 +366,11 @@ def test_failed_write_is_an_output_error(extra):
     assert err.startswith("nlasim: output error:")
 
 
-# The output contract: the CSV of each README example, byte for byte, and
-# of two more runs. verify is left out: its deviation cells are rounding
-# noise.
+# The output contract: the CSV and the JSON of each README example, byte
+# for byte, and of four more runs, two of them on the ideal map. JSON
+# prints every float at full repr precision, so it also catches a
+# one-ulp drift that the 12-digit CSV cells hide. verify is left out: its
+# deviation cells are rounding noise.
 GOLDEN = {
     "amplify_alpha": "amplify --alpha 0.1,0.0 --arms 2 --eta 0.05",
     "amplify_misfire": "amplify --alpha 0.3 --arms 5 --gamma 0.01",
@@ -378,6 +380,8 @@ GOLDEN = {
     "distill": "distill --squeeze-r 0.1 --arms 2 --eta 0.05 --loss 1 --target-r 0.4",
     "clone": "clone --alpha 0.5 --arms 5",
     "clone_asymptotic": "clone --alpha 0.5,0.2 --asymptotic",
+    "distill_asymptotic": "distill --chi 0.2 --loss 0.5 --asymptotic --gain 1.5",
+    "amplify_fock_asymptotic": "amplify --fock 2 --arms 3 --asymptotic",
 }
 
 
@@ -386,6 +390,14 @@ def test_csv_output_matches_golden_file(name, capsys):
     code, out, _ = run_cli(GOLDEN[name].split(), capsys)
     assert code == 0
     golden = Path(__file__).parent / "golden" / f"{name}.csv"
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_json_output_matches_golden_file(name, capsys):
+    code, out, _ = run_cli(GOLDEN[name].split() + ["--format", "json"], capsys)
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
     assert out.encode("utf-8") == golden.read_bytes()
 
 
