@@ -20,18 +20,12 @@ from .fock import (
     fidelity,
     minimal_coherent_cutoff,
     minimal_epr_cutoff,
+    norm_sq,
     number_state,
     partial_trace,
     tensor,
 )
-from .nla import (
-    HeraldRecord,
-    asymptotic_operator,
-    eta_from_gain,
-    gain_from_eta,
-    nla_apply,
-    nla_operator,
-)
+from .nla import eta_from_gain, gain_from_eta, nla_apply, nla_apply_asymptotic
 from .optics import BeamsplitterSpec, apply_beamsplitter, loss_channel
 
 
@@ -121,7 +115,7 @@ def distill_numeric(
     cutoff: int | None = None,
     *,
     gain: float | None = None,
-) -> tuple[DensityOperator, HeraldRecord, float]:
+) -> tuple[DensityOperator, float]:
     """Full numeric distillation run.
 
     Builds the loss purification of the two-mode squeezed state, amplifies
@@ -130,8 +124,8 @@ def distill_numeric(
     effective parameters. Exactly one of ``eta`` and ``gain`` sets the
     amplifier. Finite runs need ``arm_count`` and return the unnormalized
     state whose trace is the success probability; with ``arm_count=None``
-    the ideal map at that gain is used instead and no probability is
-    defined.
+    the ideal map at that gain is used instead, its output has trace 1 and
+    no probability is defined.
     """
     if (eta is None) == (gain is None):
         raise ValueError("exactly one of eta / gain must be given")
@@ -147,10 +141,9 @@ def distill_numeric(
     source = epr_state(chi, cutoff)
     purified = loss_channel(source, epsilon, mode=0)
     if arm_count is None:
-        op = asymptotic_operator(gain, cutoff)
+        amplified = nla_apply_asymptotic(purified, gain, mode=0)
     else:
-        op = nla_operator(arm_count, eta, cutoff)
-    amplified, herald = nla_apply(purified, op, mode=0)
+        amplified = nla_apply(purified, arm_count, eta, mode=0)
     rho = partial_trace(amplified, [2])
 
     if params.physical:
@@ -158,7 +151,7 @@ def distill_numeric(
         fid = fidelity(rho, target)
     else:
         fid = math.nan
-    return rho, herald, fid
+    return rho, fid
 
 
 def clone_coherent(
@@ -166,14 +159,15 @@ def clone_coherent(
     arm_count: int | None = None,
     eta: float = 1.0 / 3.0,
     cutoff: int | None = None,
-) -> tuple[MultiModeState, HeraldRecord]:
+) -> tuple[MultiModeState, float | None]:
     """Duplicate a coherent state: amplify to sqrt(2) alpha, then split
     50:50 against vacuum so both outputs carry amplitude alpha.
 
-    ``eta = 1/3`` realizes the required gain sqrt(2) exactly. With
-    ``arm_count=None`` the ideal map is used and each clone is exact; at
-    finite arm count the returned pair is unnormalized and its squared
-    norm is the success probability.
+    ``eta = 1/3`` realizes the required gain sqrt(2) exactly. Returns the
+    pair and the success probability, the squared norm of the amplified
+    state before the split. With ``arm_count=None`` the ideal map is used,
+    each clone is exact and the probability is ``None``; at finite arm
+    count the pair is unnormalized.
     """
     alpha = complex(alpha)
     gain = gain_from_eta(eta)
@@ -188,14 +182,15 @@ def clone_coherent(
         )
     source = coherent_state(alpha, cutoff)
     if arm_count is None:
-        op = asymptotic_operator(gain, cutoff)
+        amplified = nla_apply_asymptotic(source, gain)
+        prob = None
     else:
-        op = nla_operator(arm_count, eta, cutoff)
-    amplified, herald = nla_apply(source, op)
+        amplified = nla_apply(source, arm_count, eta)
+        prob = norm_sq(amplified)
     # vacuum first: this mode ordering hands +alpha to both outputs
     pair = tensor(number_state(0, cutoff), amplified)
     pair = apply_beamsplitter(pair, BeamsplitterSpec(0.5, (0, 1)))
-    return pair, herald
+    return pair, prob
 
 
 def clone_fidelities(pair: MultiModeState, alpha: complex) -> tuple[float, float]:

@@ -3,16 +3,16 @@
 Subcommands: amplify | fig3 | fig4 | distill | clone | verify. Tables go
 to stdout or ``--out`` as CSV (canonical) or JSON, with the full
 configuration, the code version and the provenance of every analytic
-target recorded in the header. Identical configuration and seed give
+target recorded in the header. Identical configuration gives
 byte-identical files.
 
 Every subcommand keeps one contract. Its run function maps the parsed
 flags to a params dict that is exactly the keyword arguments of its
 table builder, and records that dict as the header's config; fig3 and
 fig4 add their sweeps, recorded as ``sweep_NAME`` and passed as
-``NAMEs``. The config therefore reproduces the table. ``seed`` is
-recorded by every subcommand and read only by verify. The builder
-returns a ``TableResult`` whose columns are the keys of its rows.
+``NAMEs``. The config therefore reproduces the table. Only verify draws
+random numbers, so only verify takes ``--seed``. The builder returns a
+``TableResult`` whose columns are the keys of its rows.
 
 The parser owns only flag-level rules: exclusive flags, finite numbers
 (``nan`` and ``inf`` are rejected) and positive counts for ``--arms``,
@@ -206,7 +206,6 @@ def _build_parser() -> _Parser:
         p.set_defaults(run=run)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
         if cutoff:
             p.add_argument("--cutoff", type=_positive_int, default=None)
         if sweeps:
@@ -276,12 +275,13 @@ def _build_parser() -> _Parser:
         "--arms", type=_positive_int, default=None, help="extra arm count to try"
     )
     p.add_argument("--samples", type=_positive_int, default=1_000_000)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
 def _header_config(args, params: dict) -> dict:
-    cfg = {"subcommand": args.subcommand, "seed": args.seed, "format": args.format}
+    cfg = {"subcommand": args.subcommand, "format": args.format}
     cfg.update((k, _jsonable(v)) for k, v in params.items())
     for name, values in getattr(args, "sweep", ()):
         cfg[f"sweep_{name}"] = [float(v) for v in values]

@@ -30,13 +30,12 @@ from .fock import (
     purity,
 )
 from .nla import (
-    asymptotic_operator,
     eta_from_gain,
     gain_from_eta,
     misfire_density,
     misfire_terms,
     nla_apply,
-    nla_operator,
+    nla_apply_asymptotic,
 )
 
 FIDELITY_NOTE = (
@@ -100,14 +99,13 @@ def amplify_table(
         state = number_state(fock, cutoff)
         target = state
 
-    op = (
-        asymptotic_operator(gain, cutoff)
-        if asymptotic
-        else nla_operator(arms, eta, cutoff)
-    )
-    out, herald = nla_apply(state, op)
-    prob = herald.success_probability
-    zero_output = norm_sq(out) == 0.0
+    if asymptotic:
+        out = nla_apply_asymptotic(state, gain)
+    else:
+        out = nla_apply(state, arms, eta)
+    n2 = norm_sq(out)
+    prob = None if asymptotic else n2
+    zero_output = n2 == 0.0
     fid = math.nan if zero_output else fidelity(out, target)
     rows = []
     for n in range(cutoff):
@@ -189,10 +187,8 @@ def fig3_table(
                 minimal_coherent_cutoff(max(gains) * abs(alpha)),
                 arms + 1,
             )
-            out, herald = nla_apply(
-                coherent_state(alpha, c), nla_operator(arms, eta, c)
-            )
-            prob = herald.success_probability
+            out = nla_apply(coherent_state(alpha, c), arms, eta)
+            prob = norm_sq(out)
             for g_t in gains:
                 fid = fidelity(out, coherent_state(g_t * alpha, c))
                 rows.append(
@@ -242,9 +238,9 @@ def fig4_table(
         eta = eta_from_gain(gain)
         boost = 1.0 + (gain**2 - 1.0) * loss
         chi_source = chi_target / math.sqrt(boost)
-        rho, herald, fid = distill_numeric(chi_source, loss, arms, eta, cutoff)
+        rho, fid = distill_numeric(chi_source, loss, arms, eta, cutoff)
         report = purity_product(rho)
-        prob = herald.success_probability
+        prob = rho.trace
         rows.append(
             {
                 "chi_source": chi_source,
@@ -288,11 +284,11 @@ def distill_table(
     ``eta`` and ``gain`` are exclusive: pass ``eta=None`` with a gain.
     """
     arms_used = None if asymptotic else arms
-    rho, herald, fid = distill_numeric(chi, loss, arms_used, eta, cutoff, gain=gain)
+    rho, fid = distill_numeric(chi, loss, arms_used, eta, cutoff, gain=gain)
     gain_used = gain_from_eta(eta) if gain is None else gain
     params = distill_params(chi, loss, gain_used)
     report = purity_product(rho)
-    prob = herald.success_probability
+    prob = None if arms_used is None else rho.trace
     row = {
         "chi": chi,
         "loss": loss,
@@ -348,9 +344,8 @@ def clone_table(
     ``asymptotic`` runs the ideal map, which has no arm count.
     """
     arms_used = None if asymptotic else arms
-    pair, herald = clone_coherent(alpha, arms_used, eta, cutoff)
+    pair, prob = clone_coherent(alpha, arms_used, eta, cutoff)
     f1, f2 = clone_fidelities(pair, alpha)
-    prob = herald.success_probability
     row = {
         "alpha_re": complex(alpha).real,
         "alpha_im": complex(alpha).imag,

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,10 +37,10 @@ from .fock import (
     project_number,
     tensor,
 )
-from .optics import BeamsplitterSpec, NsplitterSpec, apply_beamsplitter, apply_nsplitter
+from .optics import BeamsplitterSpec, apply_beamsplitter, apply_nsplitter
 
 #: Largest arm count the brute-force circuit will simulate by default.
-ORACLE_ARM_LIMIT = 4
+ORACLE_ARM_LIMIT = 5
 
 
 def gain_from_eta(eta: float) -> float:
@@ -58,61 +57,8 @@ def eta_from_gain(gain: float) -> float:
     return 1.0 / (1.0 + gain**2)
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalAmplifierOp:
-    """Diagonal number-basis coefficients of the amplifier.
-
-    ``arm_count=None`` marks the ideal large-arm-count map with
-    coefficients g**n, no herald prefactor and no truncation; applying it
-    carries no success probability.
-    """
-
-    arm_count: int | None
-    eta: float | None
-    gain: float
-    cutoff: int
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-        coeffs = np.array(self.coeffs, dtype=np.float64)
-        coeffs.setflags(write=False)
-        if coeffs.shape != (self.cutoff,):
-            raise ValueError("coefficient array does not match cutoff")
-        if not np.all(np.isfinite(coeffs)) or np.any(coeffs < 0.0):
-            raise ValueError("coefficients must be finite and nonnegative")
-        if self.arm_count is not None and self.cutoff > self.arm_count + 1:
-            if np.any(coeffs[self.arm_count + 1 :] != 0.0):
-                raise ValueError("coefficients above the arm count must vanish")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def asymptotic(self) -> bool:
-        return self.arm_count is None
-
-    def __repr__(self):
-        kind = "asymptotic" if self.asymptotic else f"N={self.arm_count}"
-        return f"DiagonalAmplifierOp({kind}, gain={self.gain:.6g}, cutoff={self.cutoff})"
-
-
-@dataclass(frozen=True)
-class HeraldRecord:
-    """Success probability of a heralded run and how many detector
-    patterns were accepted. Both are ``None`` for the ideal map, whose
-    success probability is undefined."""
-
-    success_probability: float | None
-    accepted_patterns: int | None
-
-    def __post_init__(self):
-        p = self.success_probability
-        if p is not None and not 0.0 <= p <= 1.0 + 1e-12:
-            raise ValueError(f"probability {p} outside [0, 1]")
-
-
-def nla_operator(arm_count: int, eta: float, cutoff: int) -> DiagonalAmplifierOp:
-    """Exact diagonal coefficients of the N-arm amplifier.
+def nla_operator(arm_count: int, eta: float, cutoff: int) -> np.ndarray:
+    """Exact diagonal coefficients of the N-arm amplifier, read-only.
 
     coeffs[n] = eta**(N/2) * N! / ((N - n)! * N**n) * g**n for n <= N,
     zero above: each arm passes at most one photon.
@@ -134,17 +80,8 @@ def nla_operator(arm_count: int, eta: float, cutoff: int) -> DiagonalAmplifierOp
             + n * (math.log(g) - math.log(arm_count))
         )
         coeffs[n] = math.exp(log_c)
-    return DiagonalAmplifierOp(arm_count, eta, g, cutoff, coeffs)
-
-
-def asymptotic_operator(gain: float, cutoff: int) -> DiagonalAmplifierOp:
-    """Ideal diagonal map g**n, valid in the large-arm-count limit."""
-    if gain <= 0.0:
-        raise ValueError("gain must be positive")
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    coeffs = gain ** np.arange(cutoff, dtype=np.float64)
-    return DiagonalAmplifierOp(None, None, gain, cutoff, coeffs)
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def _check_convergent(weights: np.ndarray, gain: float):
@@ -159,38 +96,50 @@ def _check_convergent(weights: np.ndarray, gain: float):
         )
 
 
-def nla_apply(state, op: DiagonalAmplifierOp, mode: int = 0):
-    """Apply the diagonal amplifier to one mode and report the herald.
-
-    Takes a pure state only. Finite-arm operators return the raw
-    unnormalized output whose squared norm is the success probability over
-    all 2**N accepted patterns. The ideal operator returns the state
-    renormalized, with an absent success probability, and raises
-    ``NonconvergentError`` if the scaled tail fails to decay.
-    """
-    mm = _pure(state)
+def _mode_shape(mm: MultiModeState, mode: int) -> list:
+    """Broadcast shape that lays a number-basis vector along one mode."""
     if not 0 <= mode < mm.n_modes:
         raise ValueError(f"mode {mode} out of range")
-    if mm.mode_cutoffs[mode] > op.cutoff:
-        raise ValueError("operator cutoff smaller than the state cutoff")
-    coeffs = op.coeffs[: mm.mode_cutoffs[mode]]
     shape = [1] * mm.n_modes
-    shape[mode] = -1
-    amps = mm.amplitudes * coeffs.reshape(shape)
+    shape[mode] = mm.mode_cutoffs[mode]
+    return shape
 
-    if op.asymptotic:
-        weights = np.abs(amps) ** 2
-        axes = tuple(i for i in range(mm.n_modes) if i != mode)
-        _check_convergent(weights.sum(axis=axes) if axes else weights, op.gain)
-        n2 = float(weights.sum())
-        if n2 <= 0.0:
-            raise ValueError("amplified state has zero norm")
-        out = MultiModeState(mm.mode_cutoffs, amps / math.sqrt(n2), True)
-        herald = HeraldRecord(None, None)
-    else:
-        out = MultiModeState(mm.mode_cutoffs, amps)
-        herald = HeraldRecord(norm_sq(out), 2**op.arm_count)
-    return out, herald
+
+def nla_apply(state, arm_count: int, eta: float, mode: int = 0) -> MultiModeState:
+    """Apply the N-arm amplifier to one mode of a pure state.
+
+    The coefficients are built at that mode's cutoff. The output is the
+    raw unnormalized state; its squared norm is the success probability
+    summed over all 2**N accepted patterns.
+    """
+    mm = _pure(state)
+    shape = _mode_shape(mm, mode)
+    coeffs = nla_operator(arm_count, eta, shape[mode])
+    return MultiModeState(mm.mode_cutoffs, mm.amplitudes * coeffs.reshape(shape))
+
+
+def nla_apply_asymptotic(state, gain: float, mode: int = 0) -> MultiModeState:
+    """Apply the ideal large-arm-count map |n> -> g**n |n> to one mode.
+
+    The ideal map has no herald and no success probability, so the output
+    is renormalized. Raises ``NonconvergentError`` if the scaled tail
+    fails to decay within the cutoff.
+    """
+    if gain <= 0.0:
+        raise ValueError("gain must be positive")
+    mm = _pure(state)
+    shape = _mode_shape(mm, mode)
+    coeffs = gain ** np.arange(shape[mode], dtype=np.float64)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"gain {gain:.6g} gives non-finite g**n within the cutoff")
+    amps = mm.amplitudes * coeffs.reshape(shape)
+    weights = np.abs(amps) ** 2
+    axes = tuple(i for i in range(mm.n_modes) if i != mode)
+    _check_convergent(weights.sum(axis=axes) if axes else weights, gain)
+    n2 = float(weights.sum())
+    if n2 <= 0.0:
+        raise ValueError("amplified state has zero norm")
+    return MultiModeState(mm.mode_cutoffs, amps / math.sqrt(n2), True)
 
 
 def success_probability_asymptotic(alpha: complex, arm_count: int, eta: float) -> float:
@@ -221,7 +170,7 @@ def _split_input(inp: MultiModeState, arm_count: int) -> MultiModeState:
     state = MultiModeState((c_arm,), inp.amplitudes[:c_arm], inp.normalized)
     for _ in range(arm_count - 1):
         state = tensor(state, number_state(0, c_arm))
-    return apply_nsplitter(state, NsplitterSpec.even_split(arm_count))
+    return apply_nsplitter(state)
 
 
 def _single_pattern_circuit(
@@ -262,7 +211,7 @@ def _single_pattern_circuit(
     # kept modes hold at most min(n, support) photons in total
     room = max(2, min(n, support) + 1)
     state = pad_state(state, [room] * n)
-    state = apply_nsplitter(state, NsplitterSpec.even_split(n), inverse=True)
+    state = apply_nsplitter(state, inverse=True)
     for mode in range(n - 1, 0, -1):
         state = project_number(state, mode, 0)
     kept = state.amplitudes.reshape(-1)[:cutoff]
@@ -277,7 +226,7 @@ def physical_circuit(
     eta: float,
     *,
     oracle_limit: int = ORACLE_ARM_LIMIT,
-) -> tuple[MultiModeState, HeraldRecord]:
+) -> MultiModeState:
     """Brute-force simulation of the whole amplifier.
 
     Splits the input over N arms, runs each scissors stage as an actual
@@ -310,8 +259,7 @@ def physical_circuit(
             reference = (out, prob)
     ref_out, ref_prob = reference
     scale = math.sqrt(total / ref_prob) if ref_prob > 0.0 else 0.0
-    vec = MultiModeState(inp.mode_cutoffs, ref_out * scale)
-    return vec, HeraldRecord(total, 2**arm_count)
+    return MultiModeState(inp.mode_cutoffs, ref_out * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -56,47 +56,6 @@ class BeamsplitterSpec:
         return BeamsplitterSpec(self.transmissivity, self.mode_pair[::-1])
 
 
-@dataclass(frozen=True)
-class NsplitterSpec:
-    """Cascade of beamsplitters dividing mode 0 evenly over ``arm_count``
-    modes: the composed mode unitary has first column 1/sqrt(N)."""
-
-    arm_count: int
-    construction: tuple
-
-    def __post_init__(self):
-        if self.arm_count < 1:
-            raise ValueError("arm_count must be >= 1")
-        object.__setattr__(self, "construction", tuple(self.construction))
-
-    @classmethod
-    def even_split(cls, arm_count: int) -> "NsplitterSpec":
-        """Canonical cascade: arm k peels off with transmissivity
-        1/(N - k + 1), leaving amplitude alpha/sqrt(N) in every arm."""
-        if arm_count < 1:
-            raise ValueError("arm_count must be >= 1")
-        layers = [
-            BeamsplitterSpec(1.0 / (arm_count - k + 1), (k, k - 1))
-            for k in range(1, arm_count)
-        ]
-        return cls(arm_count, tuple(layers))
-
-    def mode_unitary(self) -> np.ndarray:
-        """Composed N x N amplitude map of the cascade."""
-        u = np.eye(self.arm_count)
-        for bs in self.construction:
-            c = math.sqrt(bs.transmissivity)
-            s = math.sqrt(1.0 - bs.transmissivity)
-            i, j = bs.mode_pair
-            e = np.eye(self.arm_count)
-            e[i, i] = c
-            e[i, j] = s
-            e[j, i] = -s
-            e[j, j] = c
-            u = e @ u
-        return u
-
-
 @lru_cache(maxsize=512)
 def _sector_modes(sector: int) -> tuple:
     """Eigenpairs of the real tridiagonal X with off-diagonals
@@ -170,20 +129,17 @@ def apply_beamsplitter(
     return MultiModeState(mm.mode_cutoffs, out, mm.normalized)
 
 
-def apply_nsplitter(state, spec: NsplitterSpec, inverse: bool = False):
-    """Apply the even-split cascade (or its inverse) to an N-mode state."""
+def apply_nsplitter(state, inverse: bool = False):
+    """Divide mode 0 evenly over every mode of an N-mode state, or undo it.
+
+    Arm k = 1..N-1 peels off from arm k-1 with transmissivity
+    1/(N - k + 1), leaving amplitude alpha/sqrt(N) in every arm.
+    """
     mm = _pure(state)
-    if mm.n_modes != spec.arm_count:
-        raise ValueError(
-            f"state has {mm.n_modes} modes, splitter expects {spec.arm_count}"
-        )
-    layers = (
-        [bs.inverted() for bs in reversed(spec.construction)]
-        if inverse
-        else spec.construction
-    )
-    for bs in layers:
-        mm = apply_beamsplitter(mm, bs)
+    n = mm.n_modes
+    for k in range(n - 1, 0, -1) if inverse else range(1, n):
+        spec = BeamsplitterSpec(1.0 / (n - k + 1), (k, k - 1))
+        mm = apply_beamsplitter(mm, spec.inverted() if inverse else spec)
     return mm
 
 

@@ -69,18 +69,17 @@ def oracle_equivalence_report(
             for idx in range(n_inputs):
                 cutoff = max_support + 1
                 state = random_support_state(rng, cutoff, max_support)
-                circuit_out, circuit_herald = nla.physical_circuit(
+                circuit_out = nla.physical_circuit(
                     state, arms, eta, oracle_limit=oracle_limit
                 )
-                op = nla.nla_operator(arms, eta, cutoff)
-                fast_out, fast_herald = nla.nla_apply(state, op)
-                p_fast = fast_herald.success_probability
-                p_circ = circuit_herald.success_probability
+                fast_out = nla.nla_apply(state, arms, eta)
+                p_fast = norm_sq(fast_out)
+                p_circ = norm_sq(circuit_out)
                 if p_fast > 0.0:
                     infid = 1.0 - fidelity(circuit_out, fast_out)
                     prob_err = abs(p_circ - p_fast) / p_fast
                 else:
-                    infid = 0.0 if norm_sq(circuit_out) == 0.0 else 1.0
+                    infid = 0.0 if p_circ == 0.0 else 1.0
                     prob_err = abs(p_circ)
                 worst_infidelity = max(worst_infidelity, infid)
                 worst_prob_err = max(worst_prob_err, prob_err)
@@ -113,7 +112,7 @@ def _raises_nonconvergent(fn) -> bool:
 
 
 def _amplified_epr(chi: float, gain: float):
-    return nla.nla_apply(epr_state(chi, 40), nla.asymptotic_operator(gain, 40))
+    return nla.nla_apply_asymptotic(epr_state(chi, 40), gain)
 
 
 def verify_table(
@@ -174,7 +173,7 @@ def verify_table(
     min_fid = 1.0
     for chi in np.linspace(0.05, 0.35, 5):
         for eps in np.linspace(0.2, 1.0, 5):
-            _, _, fid = distill_numeric(float(chi), float(eps), gain=1.3)
+            _, fid = distill_numeric(float(chi), float(eps), gain=1.3)
             min_fid = min(min_fid, fid)
     check(
         "effective_params_grid",

@@ -13,7 +13,6 @@ import numpy as np
 
 from nlasim import (
     NonconvergentError,
-    asymptotic_operator,
     coherent_state,
     distill_numeric,
     distill_params,
@@ -22,7 +21,8 @@ from nlasim import (
     minimal_coherent_cutoff,
     misfire_terms,
     nla_apply,
-    nla_operator,
+    nla_apply_asymptotic,
+    norm_sq,
     number_state,
     physical_circuit,
     postselected_prior_variance,
@@ -58,12 +58,12 @@ def test_criterion_1_headline_distillation():
     """
     arms, eta, chi = 2, 0.05, math.tanh(0.1)
     start = time.perf_counter()
-    rho, herald, _ = distill_numeric(chi, 1.0, arms, eta)
+    rho, _ = distill_numeric(chi, 1.0, arms, eta)
     target = epr_state(math.tanh(0.4))
     f_squared = fidelity(rho, target)
     f_amplitude = math.sqrt(f_squared)
     elapsed = time.perf_counter() - start
-    prob = herald.success_probability
+    prob = rho.trace
 
     g_sq = (1.0 - eta) / eta
     chi_sq = chi**2
@@ -73,7 +73,7 @@ def test_criterion_1_headline_distillation():
     oracle = sum(
         (1.0 - chi_sq)
         * chi_sq**n
-        * physical_circuit(number_state(n, cutoff), arms, eta)[1].success_probability
+        * norm_sq(physical_circuit(number_state(n, cutoff), arms, eta))
         for n in range(cutoff)
     )
 
@@ -207,7 +207,7 @@ def test_criterion_5_analytic_identities():
     min_fid = 1.0
     for chi in np.linspace(0.05, 0.35, 5):
         for eps in np.linspace(0.2, 1.0, 5):
-            _, _, fid = distill_numeric(float(chi), float(eps), gain=1.3)
+            _, fid = distill_numeric(float(chi), float(eps), gain=1.3)
             min_fid = min(min_fid, fid)
     grid_ok = min_fid >= 1.0 - 1e-9
 
@@ -223,7 +223,7 @@ def test_criterion_5_analytic_identities():
         return False
 
     def amplified(chi, gain):
-        nla_apply(epr_state(chi, 40), asymptotic_operator(gain, 40))
+        nla_apply_asymptotic(epr_state(chi, 40), gain)
 
     boundary_ok = (
         raises(lambda: amplified(0.5, 2.0))
@@ -303,7 +303,7 @@ def test_criterion_8_convergence_to_ideal_gain():
     values = []
     for arms in (5, 10, 15, 20):
         cutoff = max(minimal_coherent_cutoff(gain * alpha), arms + 1)
-        out, _ = nla_apply(coherent_state(alpha, cutoff), nla_operator(arms, eta, cutoff))
+        out = nla_apply(coherent_state(alpha, cutoff), arms, eta)
         values.append(fidelity(out, coherent_state(gain * alpha, cutoff)))
     increasing = all(a < b for a, b in zip(values, values[1:]))
     ok = values[-1] > 1.0 - 1e-3 and increasing

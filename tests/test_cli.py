@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlasim.nla
-from nlasim import DiagonalAmplifierOp
 from nlasim.cli import main
 from nlasim.experiments import (
     amplify_table,
@@ -50,12 +49,13 @@ class TestOutputs:
 
     def test_header_records_config_and_seed(self, tmp_path):
         out = tmp_path / "t.csv"
-        assert main(["amplify", "--alpha", "0.1", "--seed", "9", "--out", str(out)]) == 0
+        argv = ["verify", "--samples", "20000", "--seed", "9", "--out", str(out)]
+        assert main(argv) == 0
         header, rows = read_csv(out)
         joined = "".join(header)
         assert '"seed": 9' in joined
         assert "# provenance:" in joined
-        assert rows and "success_prob" in rows[0]
+        assert rows and "status" in rows[0]
 
     def test_json_mirrors_csv_rows(self, tmp_path):
         csv_path = tmp_path / "t.csv"
@@ -69,7 +69,7 @@ class TestOutputs:
         assert payload["rows"][0]["chi_prime"] == pytest.approx(
             float(rows[0]["chi_prime"]), rel=1e-10
         )
-        assert payload["config"]["seed"] == 0
+        assert "seed" not in payload["config"]
         assert payload["version"]
 
     def test_probabilities_emitted_raw_and_percent(self, capsys):
@@ -149,14 +149,7 @@ class TestExitCodes:
         true_operator = nlasim.nla.nla_operator
 
         def corrupted(arm_count, eta, cutoff):
-            op = true_operator(arm_count, eta, cutoff)
-            return DiagonalAmplifierOp(
-                op.arm_count,
-                op.eta,
-                op.gain,
-                op.cutoff,
-                op.coeffs * 2.0 ** (-arm_count / 2.0),
-            )
+            return true_operator(arm_count, eta, cutoff) * 2.0 ** (-arm_count / 2.0)
 
         monkeypatch.setattr(nlasim.nla, "nla_operator", corrupted)
         code, out, _ = run_cli(["verify", "--samples", "30000"], capsys)
@@ -184,7 +177,7 @@ class TestExitCodes:
         assert [row[1] for row in rows] == [
             "pass", "skipped", "pass", "pass", "pass", "pass"
         ]
-        assert lines[2] == "oracle_equivalence_arms_7,skipped,nan,beyond oracle limit 4"
+        assert lines[2] == "oracle_equivalence_arms_7,skipped,nan,beyond oracle limit 5"
         assert lines[5] == (
             "postselected_prior_mc,pass,2.51141474313,estimate 0.588816 vs "
             "expected 0.428571 (73 accepted; z = 2.51)"
@@ -196,8 +189,8 @@ class TestExitCodes:
 
 
 # One argv per subcommand. Its recorded config, less the keys that only
-# shape the output, is the builder's keyword arguments: seed is read only
-# by verify, and a sweep_NAME key is the builder's NAMEs argument.
+# shape the output, is the builder's keyword arguments: a sweep_NAME key
+# is the builder's NAMEs argument.
 CONTRACT = {
     "amplify": (amplify_table, "amplify --alpha 0.2,0.1 --arms 3 --gain 1.3"),
     "fig3": (
@@ -226,8 +219,6 @@ def test_recorded_config_reproduces_table(name, capsys):
     payload = json.loads(out)
     kwargs = dict(payload["config"])
     del kwargs["subcommand"], kwargs["format"]
-    if name != "verify":
-        del kwargs["seed"]
     for key in [k for k in kwargs if k.startswith("sweep_")]:
         kwargs[key.removeprefix("sweep_") + "s"] = kwargs.pop(key)
     if isinstance(kwargs.get("alpha"), list):
@@ -321,6 +312,7 @@ BAD_INPUTS = [
     "distill --chi 0.1 --asymptotic --arms 2 --gain 1.5 --loss 0.5",  # 0: arms ignored
     "clone --alpha 0.5 --asymptotic --arms 5",  # 0: arms ignored
     "amplify --alpha 0.1 --out {tmp}/missing/x.csv",  # 1 by traceback
+    "amplify --alpha 0.1 --seed 9",  # 0: seed ignored
 ]
 
 

@@ -21,7 +21,6 @@ from nlasim import (
     minimal_coherent_cutoff,
     minimal_epr_cutoff,
     nla_apply,
-    nla_operator,
     norm_sq,
     normalize,
     number_state,
@@ -260,7 +259,7 @@ class TestInvariantsAndPlumbing:
         with pytest.raises(TypeError):
             apply_beamsplitter(bad, BeamsplitterSpec(0.5, (0, 1)))
         with pytest.raises(TypeError):
-            nla_apply(bad, nla_operator(1, 0.5, 2))
+            nla_apply(bad, 1, 0.5)
         with pytest.raises(TypeError):
             partial_trace(bad, [])
         with pytest.raises(TypeError):

@@ -6,7 +6,6 @@ import pytest
 from nlasim import (
     MultiModeState,
     NonconvergentError,
-    asymptotic_operator,
     coherent_state,
     epr_state,
     fidelity,
@@ -14,11 +13,13 @@ from nlasim import (
     misfire_density,
     misfire_terms,
     nla_apply,
+    nla_apply_asymptotic,
     nla_operator,
     norm_sq,
     number_state,
     purity,
     success_probability_asymptotic,
+    tensor,
     vacuum,
 )
 from conftest import random_fock
@@ -26,57 +27,60 @@ from conftest import random_fock
 
 class TestOperatorCoefficients:
     def test_two_arm_low_transmissivity(self):
-        op = nla_operator(2, 0.05, 4)
-        assert op.coeffs[0] == pytest.approx(0.05, abs=1e-15)
-        assert op.coeffs[1] == pytest.approx(0.05 * math.sqrt(19.0), abs=1e-12)
-        assert op.coeffs[2] == pytest.approx(0.475, abs=1e-12)
-        assert op.coeffs[3] == 0.0
+        coeffs = nla_operator(2, 0.05, 4)
+        assert coeffs[0] == pytest.approx(0.05, abs=1e-15)
+        assert coeffs[1] == pytest.approx(0.05 * math.sqrt(19.0), abs=1e-12)
+        assert coeffs[2] == pytest.approx(0.475, abs=1e-12)
+        assert coeffs[3] == 0.0
 
     def test_vacuum_coefficient_is_herald_amplitude(self):
         for arms, eta in [(1, 0.3), (4, 0.05), (9, 0.7)]:
-            op = nla_operator(arms, eta, 3)
-            assert op.coeffs[0] == pytest.approx(eta ** (arms / 2.0), rel=1e-13)
+            coeffs = nla_operator(arms, eta, 3)
+            assert coeffs[0] == pytest.approx(eta ** (arms / 2.0), rel=1e-13)
 
     def test_single_arm_single_photon(self):
-        op = nla_operator(1, 1.0 / 3.0, 2)
-        assert op.coeffs[1] == pytest.approx(math.sqrt(1.0 / 3.0) * math.sqrt(2.0))
+        coeffs = nla_operator(1, 1.0 / 3.0, 2)
+        assert coeffs[1] == pytest.approx(math.sqrt(1.0 / 3.0) * math.sqrt(2.0))
 
     def test_truncation_above_arm_count(self):
-        op = nla_operator(3, 0.4, 10)
-        assert np.all(op.coeffs[4:] == 0.0)
-        assert np.all(op.coeffs[: 4] > 0.0)
+        coeffs = nla_operator(3, 0.4, 10)
+        assert np.all(coeffs[4:] == 0.0)
+        assert np.all(coeffs[: 4] > 0.0)
 
     def test_closed_form_matches_direct_product(self):
         # N!/((N-n)! N^n) as an explicit running product
         arms, eta = 6, 0.21
-        op = nla_operator(arms, eta, arms + 1)
+        coeffs = nla_operator(arms, eta, arms + 1)
         g = gain_from_eta(eta)
         for n in range(arms + 1):
             fall = 1.0
             for j in range(n):
                 fall *= (arms - j) / arms
             want = eta ** (arms / 2.0) * fall * g**n
-            assert op.coeffs[n] == pytest.approx(want, rel=1e-12)
+            assert coeffs[n] == pytest.approx(want, rel=1e-12)
 
 
 class TestApply:
     def test_vacuum_probability(self):
         for arms, eta in [(1, 0.3), (3, 0.05)]:
-            out, herald = nla_apply(vacuum(2), nla_operator(arms, eta, 2))
-            assert herald.success_probability == pytest.approx(eta**arms, rel=1e-12)
-            assert herald.accepted_patterns == 2**arms
+            out = nla_apply(vacuum(2), arms, eta)
+            assert norm_sq(out) == pytest.approx(eta**arms, rel=1e-12)
             assert not out.normalized
 
-    def test_herald_probability_is_norm_sq(self, rng):
-        state = random_fock(rng, 5)
-        out, herald = nla_apply(state, nla_operator(3, 0.3, 5))
-        assert herald.success_probability == pytest.approx(norm_sq(out), rel=1e-12)
+    def test_coefficients_follow_the_mode_cutoff(self, rng):
+        # each mode is scaled by the operator built at its own cutoff
+        state = tensor(random_fock(rng, 3), random_fock(rng, 6))
+        for mode, cutoff in enumerate(state.mode_cutoffs):
+            out = nla_apply(state, 4, 0.3, mode=mode)
+            shape = [1, 1]
+            shape[mode] = cutoff
+            coeffs = nla_operator(4, 0.3, cutoff).reshape(shape)
+            assert np.array_equal(out.amplitudes, state.amplitudes * coeffs)
 
     def test_epr_arm_amplification_asymptotic(self):
         # ideal gain map on one arm: chi -> g * chi exactly
         cutoff = 30
-        out, herald = nla_apply(epr_state(0.3, cutoff), asymptotic_operator(2.0, cutoff))
-        assert herald.success_probability is None
+        out = nla_apply_asymptotic(epr_state(0.3, cutoff), 2.0)
         assert fidelity(out, epr_state(0.6, cutoff)) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_transmissivity_is_pure_truncation(self, rng):
@@ -84,35 +88,36 @@ class TestApply:
         amps = rng.normal(size=2) + 1j * rng.normal(size=2)
         state = MultiModeState((2,), amps / np.linalg.norm(amps), normalized=True)
         for arms in (1, 2, 5):
-            out, _ = nla_apply(state, nla_operator(arms, 0.5, 2))
+            out = nla_apply(state, arms, 0.5)
             ratio = out.amplitudes / state.amplitudes
             assert np.max(np.abs(ratio - ratio[0])) < 1e-12
 
-    def test_cutoff_compatibility_checked(self):
-        with pytest.raises(ValueError):
-            nla_apply(vacuum(5), nla_operator(2, 0.3, 3))
-
     def test_asymptotic_identity_gain(self, rng):
         state = random_fock(rng, 4)
-        out, _ = nla_apply(state, asymptotic_operator(1.0, 4))
+        out = nla_apply_asymptotic(state, 1.0)
         assert fidelity(out, state) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("gain", [0.0, -1.0, math.nan, math.inf, 1e200])
+    def test_asymptotic_rejects_unusable_gain(self, gain):
+        with pytest.raises(ValueError):
+            nla_apply_asymptotic(number_state(1, 3), gain)
+
     def test_number_state_asymptotic_map(self):
-        out, _ = nla_apply(number_state(2, 6), asymptotic_operator(1.7, 6))
+        out = nla_apply_asymptotic(number_state(2, 6), 1.7)
         assert fidelity(out, number_state(2, 6)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNonconvergence:
     def test_boundary_raises(self):
         with pytest.raises(NonconvergentError):
-            nla_apply(epr_state(0.5, 30, tail_tol=1.0), asymptotic_operator(2.0, 30))
+            nla_apply_asymptotic(epr_state(0.5, 30, tail_tol=1.0), 2.0)
 
     def test_above_boundary_raises(self):
         with pytest.raises(NonconvergentError):
-            nla_apply(epr_state(0.6, 28), asymptotic_operator(2.0, 28))
+            nla_apply_asymptotic(epr_state(0.6, 28), 2.0)
 
     def test_below_boundary_passes(self):
-        out, _ = nla_apply(epr_state(0.3, 30), asymptotic_operator(2.0, 30))
+        out = nla_apply_asymptotic(epr_state(0.3, 30), 2.0)
         assert norm_sq(out) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -133,11 +138,9 @@ class TestSuccessProbability:
         # 20 * g**2 |alpha|**2 = 3.6, so any N >= 4 qualifies
         for arms in (4, 8, 20):
             cutoff = max(16, arms + 1)
-            _, herald = nla_apply(
-                coherent_state(alpha, cutoff), nla_operator(arms, eta, cutoff)
-            )
+            out = nla_apply(coherent_state(alpha, cutoff), arms, eta)
             approx = success_probability_asymptotic(alpha, arms, eta)
-            assert abs(approx / herald.success_probability - 1.0) < 0.05
+            assert abs(approx / norm_sq(out) - 1.0) < 0.05
 
 
 class TestTargetGainPeak:
@@ -149,9 +152,7 @@ class TestTargetGainPeak:
 
         def peak_gain_sq(alpha):
             cutoff = 16
-            out, _ = nla_apply(
-                coherent_state(alpha, cutoff), nla_operator(arms, eta, cutoff)
-            )
+            out = nla_apply(coherent_state(alpha, cutoff), arms, eta)
             fids = [
                 fidelity(out, coherent_state(g * alpha, cutoff)) for g in gains
             ]
@@ -166,8 +167,8 @@ class TestTargetGainPeak:
 class TestMisfire:
     def test_zero_inefficiency_recovers_pure_output(self):
         rho = misfire_density(0.3, 5, 1.0 / 3.0, 0.0, cutoff=8)
-        out, herald = nla_apply(coherent_state(0.3, 8), nla_operator(5, 1.0 / 3.0, 8))
-        assert rho.trace == pytest.approx(herald.success_probability, rel=1e-12)
+        out = nla_apply(coherent_state(0.3, 8), 5, 1.0 / 3.0)
+        assert rho.trace == pytest.approx(norm_sq(out), rel=1e-12)
         assert fidelity(rho, out) == pytest.approx(1.0, abs=1e-12)
 
     def test_terms_converge_with_arm_count(self):
