@@ -25,7 +25,13 @@ from .fock import (
     partial_trace,
     tensor,
 )
-from .nla import eta_from_gain, gain_from_eta, nla_apply, nla_apply_asymptotic
+from .nla import (
+    _gain_squared,
+    eta_from_gain,
+    gain_from_eta,
+    nla_apply,
+    nla_apply_asymptotic,
+)
 from .optics import BeamsplitterSpec, apply_beamsplitter, loss_channel
 
 
@@ -67,11 +73,10 @@ def distill_params(chi: float, epsilon: float, gain: float) -> EffectiveEprParam
         raise ValueError("chi must lie in [0, 1)")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
-    if gain <= 0.0:
-        raise ValueError("gain must be positive")
-    boost = 1.0 + (gain**2 - 1.0) * epsilon
+    gain_sq = _gain_squared(gain)
+    boost = 1.0 + (gain_sq - 1.0) * epsilon
     chi_prime = chi * math.sqrt(boost)
-    eps_prime = gain**2 * epsilon / boost
+    eps_prime = gain_sq * epsilon / boost
     return EffectiveEprParams(chi_prime, eps_prime, chi_prime < 1.0)
 
 
@@ -211,9 +216,7 @@ def postselected_prior_variance(prior_variance: float, gain: float) -> float:
     """
     if prior_variance < 0.0:
         raise ValueError("variance must be nonnegative")
-    if gain <= 0.0:
-        raise ValueError("gain must be positive")
-    excess = (gain**2 - 1.0) * prior_variance
+    excess = (_gain_squared(gain) - 1.0) * prior_variance
     if excess >= 1.0:
         raise NonconvergentError(
             f"postselected prior diverges: (g**2 - 1) * d = {excess:.6g} >= 1"

@@ -15,12 +15,14 @@ success probability.
 
 ``physical_circuit`` re-derives all of this by brute force from
 beamsplitters, single-photon ancillas and projective detection; it is the
-oracle the closed form is tested against.
+oracle the closed form is tested against. Every pattern runs through the
+actual circuit, but patterns share their prefix work: the input is split
+once, and each arm is mixed once per sign prefix before the walk branches
+on that arm's two click patterns.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 
@@ -50,11 +52,23 @@ def gain_from_eta(eta: float) -> float:
     return math.sqrt((1.0 - eta) / eta)
 
 
-def eta_from_gain(gain: float) -> float:
-    """Scissors transmissivity realizing a requested amplitude gain."""
+def _gain_squared(gain: float) -> float:
+    """g**2 of a positive gain; a gain whose square is not finite is
+    rejected rather than left to overflow."""
     if gain <= 0.0:
         raise ValueError("gain must be positive")
-    return 1.0 / (1.0 + gain**2)
+    try:
+        squared = gain**2
+    except OverflowError:
+        squared = math.inf
+    if not math.isfinite(squared):
+        raise ValueError(f"gain {gain:.6g} has no finite square")
+    return squared
+
+
+def eta_from_gain(gain: float) -> float:
+    """Scissors transmissivity realizing a requested amplitude gain."""
+    return 1.0 / (1.0 + _gain_squared(gain))
 
 
 def nla_operator(arm_count: int, eta: float, cutoff: int) -> np.ndarray:
@@ -173,51 +187,62 @@ def _split_input(inp: MultiModeState, arm_count: int) -> MultiModeState:
     return apply_nsplitter(state)
 
 
-def _single_pattern_circuit(
-    state: MultiModeState, cutoff: int, eta: float, signs
-) -> tuple[np.ndarray, float]:
-    """Run the circuit after the forward splitter for one detector pattern.
+def _pattern_outputs(split: MultiModeState, cutoff: int, eta: float) -> dict:
+    """Run the circuit after the forward splitter for every detector pattern.
 
-    ``state`` is ``_split_input`` of the input. ``signs[i] = +1`` heralds
+    ``split`` is ``_split_input`` of the input. ``signs[i] = +1`` heralds
     on (1, 0) at arm i's detector pair and -1 on (0, 1), the latter
-    followed by the pi feed-forward. Returns the unnormalized output
-    amplitudes (padded to ``cutoff``) and the pattern probability.
+    followed by the pi feed-forward. The patterns are walked depth first
+    as a tree over the arms: patterns that agree on their first k signs
+    hold the same state up to arm k, and an arm's ancilla, eta split and
+    50:50 mix precede the reading of its sign, so each arm is mixed once
+    per sign prefix. Returns {signs: (out, prob)} in
+    ``itertools.product((+1, -1), repeat=N)`` order, with the unnormalized
+    output amplitudes padded to ``cutoff`` and the pattern probability.
     """
-    n = state.n_modes
-    support = state.mode_cutoffs[0] - 1
-    for arm in range(n):
+    n = split.n_modes
+    support = split.mode_cutoffs[0] - 1
+    # kept modes hold at most min(n, support) photons in total
+    kept_room = max(2, min(n, support) + 1)
+    o_idx, m_idx = n, n + 1
+    outputs = {}
+
+    def walk(state: MultiModeState, signs: tuple):
+        arm = len(signs)
+        if arm == n:
+            state = pad_state(state, [kept_room] * n)
+            state = apply_nsplitter(state, inverse=True)
+            for mode in range(n - 1, 0, -1):
+                state = project_number(state, mode, 0)
+            kept = state.amplitudes.reshape(-1)[:cutoff]
+            out = np.zeros(cutoff, dtype=np.complex128)
+            out[: kept.size] = kept
+            outputs[signs] = (out, float(np.vdot(out, out).real))
+            return
         # ancilla photon split over (kept, mixed) with transmissivity eta
         state = tensor(state, number_state(0, 2))   # kept output mode o
         state = tensor(state, number_state(1, 2))   # mixing mode m
-        o_idx, m_idx = n, n + 1
         state = apply_beamsplitter(state, BeamsplitterSpec(eta, (o_idx, m_idx)))
         # 50:50 mix of the arm with m, then count both ports
         room = list(state.mode_cutoffs)
         room[arm] = support + 2
         room[m_idx] = support + 2
         state = pad_state(state, room)
-        state = apply_beamsplitter(state, BeamsplitterSpec(0.5, (arm, m_idx)))
-        clicks = (1, 0) if signs[arm] == +1 else (0, 1)
-        state = project_number(state, m_idx, clicks[1])
-        state = project_number(state, arm, clicks[0])
-        # the kept mode slots in where the arm was
-        amps = np.moveaxis(state.amplitudes, n - 1, arm)
-        cutoffs = list(state.mode_cutoffs)
-        cutoffs.insert(arm, cutoffs.pop(n - 1))
-        state = MultiModeState(tuple(cutoffs), amps)
-        if signs[arm] == -1:
-            state = _flip_odd(state, arm)
+        mixed = apply_beamsplitter(state, BeamsplitterSpec(0.5, (arm, m_idx)))
+        for sign, clicks in ((+1, (1, 0)), (-1, (0, 1))):
+            state = project_number(mixed, m_idx, clicks[1])
+            state = project_number(state, arm, clicks[0])
+            # the kept mode slots in where the arm was
+            amps = np.moveaxis(state.amplitudes, n - 1, arm)
+            cutoffs = list(state.mode_cutoffs)
+            cutoffs.insert(arm, cutoffs.pop(n - 1))
+            state = MultiModeState(tuple(cutoffs), amps)
+            if sign == -1:
+                state = _flip_odd(state, arm)
+            walk(state, signs + (sign,))
 
-    # kept modes hold at most min(n, support) photons in total
-    room = max(2, min(n, support) + 1)
-    state = pad_state(state, [room] * n)
-    state = apply_nsplitter(state, inverse=True)
-    for mode in range(n - 1, 0, -1):
-        state = project_number(state, mode, 0)
-    kept = state.amplitudes.reshape(-1)[:cutoff]
-    out = np.zeros(cutoff, dtype=np.complex128)
-    out[: kept.size] = kept
-    return out, float(np.vdot(out, out).real)
+    walk(split, ())
+    return outputs
 
 
 def physical_circuit(
@@ -234,7 +259,10 @@ def physical_circuit(
     both ports), recombines through the inverse splitter and projects the
     non-output ports on vacuum. All 2**N accepted click patterns are
     summed; after feed-forward they herald the same pure state, returned
-    with squared norm equal to the total success probability.
+    with squared norm equal to the total success probability. Patterns
+    that agree on their first k signs share the work up to arm k (see
+    ``_pattern_outputs``), so a call applies (N-1) + 2 (2**N - 1) +
+    (N-1) 2**N beamsplitters.
     """
     if arm_count < 1:
         raise ValueError("arm_count must be >= 1")
@@ -250,14 +278,13 @@ def physical_circuit(
         raise ValueError("input state has zero norm")
 
     split = _split_input(inp, arm_count)
+    outputs = _pattern_outputs(split, inp.mode_cutoffs[0], eta)
     total = 0.0
-    reference = None
-    for signs in itertools.product((+1, -1), repeat=arm_count):
-        out, prob = _single_pattern_circuit(split, inp.mode_cutoffs[0], eta, signs)
+    # plain left-to-right addition in pattern order (sum() compensates on
+    # Python >= 3.12, which would move the last bits)
+    for _, prob in outputs.values():
         total += prob
-        if all(s == +1 for s in signs):
-            reference = (out, prob)
-    ref_out, ref_prob = reference
+    ref_out, ref_prob = outputs[(+1,) * arm_count]
     scale = math.sqrt(total / ref_prob) if ref_prob > 0.0 else 0.0
     return MultiModeState(inp.mode_cutoffs, ref_out * scale)
 

@@ -10,6 +10,7 @@ from nlasim import (
     distill_numeric,
     distill_params,
     epr_state,
+    eta_from_gain,
     fidelity,
     loss_channel,
     lossy_epr,
@@ -103,6 +104,20 @@ class TestDistillParams:
                 distill_params(0.2, bad_eps, 2.0)
             with pytest.raises(ValueError, match="transmission"):
                 fig4_table(gains=[3.0], loss=bad_eps)
+
+    @pytest.mark.parametrize("gain", [1e160, 1e200, math.inf])
+    def test_gain_without_finite_square_rejected(self, gain):
+        # a ValueError wherever the gain enters, not the OverflowError of
+        # gain**2 (or, for inf, a silent eta of 0)
+        for call in (
+            lambda: eta_from_gain(gain),
+            lambda: distill_params(0.1, 0.5, gain),
+            lambda: postselected_prior_variance(0.3, gain),
+            lambda: distill_numeric(0.1, 0.5, gain=gain),
+            lambda: fig4_table(gains=[gain], cutoff=4),
+        ):
+            with pytest.raises(ValueError, match="finite square"):
+                call()
 
     def test_monotone_improvement(self):
         # both effective parameters increase whenever g > 1 on a lossy line

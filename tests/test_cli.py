@@ -156,6 +156,23 @@ class TestExitCodes:
         assert code == 2
         assert "oracle_equivalence,fail" in out
 
+    def test_verify_arms_reaches_every_coefficient(self, capsys, monkeypatch):
+        # a fault confined to n = 4 and 5 of the 5-arm map shows only on
+        # inputs supported up to |5>
+        true_operator = nlasim.nla.nla_operator
+
+        def corrupted(arm_count, eta, cutoff):
+            coeffs = true_operator(arm_count, eta, cutoff).copy()
+            coeffs[4:] *= 1.01
+            return coeffs
+
+        monkeypatch.setattr(nlasim.nla, "nla_operator", corrupted)
+        code, out, _ = run_cli(
+            ["verify", "--samples", "20000", "--arms", "5"], capsys
+        )
+        assert code == 2
+        assert "oracle_equivalence,fail" in out
+
     def test_verify_skips_beyond_oracle_limit(self, capsys):
         # the whole verify layout: the skipped arm count comes second, and
         # the Monte-Carlo and guard rows are exact at this budget and seed
@@ -313,6 +330,10 @@ BAD_INPUTS = [
     "clone --alpha 0.5 --asymptotic --arms 5",  # 0: arms ignored
     "amplify --alpha 0.1 --out {tmp}/missing/x.csv",  # 1 by traceback
     "amplify --alpha 0.1 --seed 9",  # 0: seed ignored
+    "amplify --alpha 0.1 --gain 1e200",  # 1 by traceback: OverflowError
+    "distill --chi 0.1 --gain 1e200",  # 1 by traceback: OverflowError
+    "distill --chi 0.1 --asymptotic --gain 1e200 --loss 0.5",  # 1 by traceback: OverflowError
+    "fig4 --sweep gain=1e200:1e200:1 --cutoff 4",  # 1 by traceback: OverflowError
 ]
 
 

@@ -1,5 +1,6 @@
 """Brute-force circuit oracle: hand-computed single-arm cases, pattern
-bookkeeping, and equivalence with the closed-form diagonal operator."""
+bookkeeping, the per-pattern reference route, and equivalence with the
+closed-form diagonal operator."""
 
 import itertools
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import nlasim
 from nlasim import (
     MultiModeState,
     fidelity,
@@ -17,8 +19,78 @@ from nlasim import (
     tensor,
     vacuum,
 )
-from nlasim.nla import _single_pattern_circuit, _split_input
+from nlasim.fock import pad_state, project_number
+from nlasim.nla import _flip_odd, _pattern_outputs, _split_input
+from nlasim.optics import BeamsplitterSpec, apply_beamsplitter, apply_nsplitter
 from nlasim.verification import oracle_equivalence_report, random_support_state
+
+
+def reference_pattern(
+    state: MultiModeState, cutoff: int, eta: float, signs
+) -> tuple[np.ndarray, float]:
+    """Run the circuit after the forward splitter for one detector pattern,
+    from its first arm to the vacuum projections, sharing nothing with the
+    other patterns.
+
+    ``state`` is ``_split_input`` of the input. ``signs[i] = +1`` heralds
+    on (1, 0) at arm i's detector pair and -1 on (0, 1), the latter
+    followed by the pi feed-forward. Returns the unnormalized output
+    amplitudes (padded to ``cutoff``) and the pattern probability.
+    """
+    n = state.n_modes
+    support = state.mode_cutoffs[0] - 1
+    for arm in range(n):
+        # ancilla photon split over (kept, mixed) with transmissivity eta
+        state = tensor(state, number_state(0, 2))   # kept output mode o
+        state = tensor(state, number_state(1, 2))   # mixing mode m
+        o_idx, m_idx = n, n + 1
+        state = apply_beamsplitter(state, BeamsplitterSpec(eta, (o_idx, m_idx)))
+        # 50:50 mix of the arm with m, then count both ports
+        room = list(state.mode_cutoffs)
+        room[arm] = support + 2
+        room[m_idx] = support + 2
+        state = pad_state(state, room)
+        state = apply_beamsplitter(state, BeamsplitterSpec(0.5, (arm, m_idx)))
+        clicks = (1, 0) if signs[arm] == +1 else (0, 1)
+        state = project_number(state, m_idx, clicks[1])
+        state = project_number(state, arm, clicks[0])
+        # the kept mode slots in where the arm was
+        amps = np.moveaxis(state.amplitudes, n - 1, arm)
+        cutoffs = list(state.mode_cutoffs)
+        cutoffs.insert(arm, cutoffs.pop(n - 1))
+        state = MultiModeState(tuple(cutoffs), amps)
+        if signs[arm] == -1:
+            state = _flip_odd(state, arm)
+
+    # kept modes hold at most min(n, support) photons in total
+    room = max(2, min(n, support) + 1)
+    state = pad_state(state, [room] * n)
+    state = apply_nsplitter(state, inverse=True)
+    for mode in range(n - 1, 0, -1):
+        state = project_number(state, mode, 0)
+    kept = state.amplitudes.reshape(-1)[:cutoff]
+    out = np.zeros(cutoff, dtype=np.complex128)
+    out[: kept.size] = kept
+    return out, float(np.vdot(out, out).real)
+
+
+def reference_circuit(inp: MultiModeState, arm_count: int, eta: float) -> np.ndarray:
+    """``physical_circuit``'s amplitudes, one pattern at a time."""
+    split = _split_input(inp, arm_count)
+    total = 0.0
+    reference = None
+    for signs in itertools.product((+1, -1), repeat=arm_count):
+        out, prob = reference_pattern(split, inp.mode_cutoffs[0], eta, signs)
+        total += prob
+        if all(s == +1 for s in signs):
+            reference = (out, prob)
+    ref_out, ref_prob = reference
+    scale = math.sqrt(total / ref_prob) if ref_prob > 0.0 else 0.0
+    return ref_out * scale
+
+
+def pattern_outputs(state: MultiModeState, arm_count: int, cutoff: int, eta: float):
+    return _pattern_outputs(_split_input(state, arm_count), cutoff, eta)
 
 
 class TestSingleArm:
@@ -26,8 +98,9 @@ class TestSingleArm:
         eta = 0.3
         out = physical_circuit(vacuum(1), 1, eta)
         assert norm_sq(out) == pytest.approx(eta, rel=1e-12)
+        outputs = pattern_outputs(vacuum(1), 1, 1, eta)
         for signs in [(+1,), (-1,)]:
-            _, prob = _single_pattern_circuit(_split_input(vacuum(1), 1), 1, eta, signs)
+            _, prob = outputs[signs]
             assert prob == pytest.approx(eta / 2.0, rel=1e-12)
 
     def test_plus_state_hand_computation(self):
@@ -46,8 +119,9 @@ class TestSingleArm:
         eta = 0.4
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         state = MultiModeState((4,), amps / np.linalg.norm(amps), normalized=True)
+        outputs = pattern_outputs(state, 1, 4, eta)
         for sign in (+1, -1):
-            raw, prob = _single_pattern_circuit(_split_input(state, 1), 4, eta, (sign,))
+            raw, prob = outputs[(sign,)]
             kraus = np.array(
                 [math.sqrt(eta / 2.0), sign * math.sqrt((1.0 - eta) / 2.0)]
             )
@@ -59,17 +133,55 @@ class TestSingleArm:
 
 
 class TestPatternBookkeeping:
-    def test_all_patterns_contribute_equally(self, rng):
+    @pytest.mark.parametrize("arms", [2, 3, 5])
+    def test_all_patterns_contribute_equally(self, rng, arms):
         state = random_support_state(rng, 4, 3)
-        probs = []
-        states = []
-        for signs in itertools.product((+1, -1), repeat=2):
-            out, prob = _single_pattern_circuit(_split_input(state, 2), 4, 0.3, signs)
-            probs.append(prob)
-            states.append(out)
+        outputs = pattern_outputs(state, arms, 4, 0.3)
+        assert len(outputs) == 2**arms
+        probs = [prob for _, prob in outputs.values()]
+        states = [out for out, _ in outputs.values()]
         assert max(probs) - min(probs) < 1e-14
         for other in states[1:]:
             assert np.max(np.abs(other - states[0])) < 1e-12
+
+    @pytest.mark.parametrize("arms", [1, 2, 3, 4])
+    @pytest.mark.parametrize("support", [1, 2, 3, 4])
+    def test_walk_matches_per_pattern_reference(self, rng, arms, support):
+        # the walk shares prefix work but runs the same operations on the
+        # same arrays, so every pattern and the sum agree bit for bit
+        for _ in range(3):
+            cutoff = support + 1 + int(rng.integers(0, 2))
+            eta = float(rng.uniform(0.05, 0.95))
+            state = random_support_state(rng, cutoff, support)
+            split = _split_input(state, arms)
+            outputs = _pattern_outputs(split, cutoff, eta)
+            assert list(outputs) == list(itertools.product((+1, -1), repeat=arms))
+            for signs, (out, prob) in outputs.items():
+                ref_out, ref_prob = reference_pattern(split, cutoff, eta, signs)
+                assert np.array_equal(out, ref_out)
+                assert prob == ref_prob
+            amps = physical_circuit(state, arms, eta).amplitudes
+            assert np.array_equal(amps, reference_circuit(state, arms, eta))
+
+    @pytest.mark.parametrize(
+        "arms, calls", [(1, 2), (2, 11), (3, 32), (4, 81), (5, 194)]
+    )
+    def test_beamsplitter_count(self, monkeypatch, rng, arms, calls):
+        # (N-1) to split, two per arm per sign prefix, (N-1) per pattern
+        # to recombine; the per-pattern reference applies (N-1) + (3N-1) 2**N
+        count = 0
+        real = nlasim.optics.apply_beamsplitter
+
+        def counted(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nlasim.optics, "apply_beamsplitter", counted)
+        monkeypatch.setattr(nlasim.nla, "apply_beamsplitter", counted)
+        physical_circuit(random_support_state(rng, 4, 3), arms, 0.3)
+        assert count == calls
+        assert calls == (arms - 1) + 2 * (2**arms - 1) + (arms - 1) * 2**arms
 
     def test_herald_counts_all_patterns(self):
         # one pattern alone would herald 0.3**3 / 8
