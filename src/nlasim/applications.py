@@ -237,19 +237,17 @@ def sample_postselected_variance(
     gain: float,
     n_samples: int = 1_000_000,
     seed: int = 0,
-    radius_sq: float | None = None,
 ) -> dict:
     """Monte-Carlo check of the postselected-prior variance map.
 
     Draws complex amplitudes from the prior, accepts by rejection against
     the maximum of the success weight exp((g**2 - 1) |alpha|**2) on a disk
     and returns the empirical mean of |alpha|**2 with its standard error.
-    The disk is sized so the clipped tail bias is negligible against the
-    statistical error.
+    The disk, of squared radius 14 * max(d', d), is sized so the clipped
+    tail bias is negligible against the statistical error.
     """
     expected = postselected_prior_variance(prior_variance, gain)
-    if radius_sq is None:
-        radius_sq = 14.0 * max(expected, prior_variance)
+    radius_sq = 14.0 * max(expected, prior_variance)
     rng = np.random.default_rng(seed)
     scale = math.sqrt(prior_variance / 2.0)
     re = rng.normal(0.0, scale, n_samples)

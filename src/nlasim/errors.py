@@ -4,9 +4,9 @@
 class TruncationError(ValueError):
     """A cutoff is too small to hold the requested state or operation.
 
-    Raised when a strict constructor would drop more tail mass than the
-    caller allows, or when a beamsplitter would push photons past a mode
-    cutoff by more than the overflow tolerance.
+    Raised when an automatically sized cutoff cannot be found or would
+    pass its cap, or when a beamsplitter would push photons past a mode
+    cutoff by more than the overflow tolerance, ``optics.OVERFLOW_TOL``.
     """
 
 

@@ -20,6 +20,7 @@ from .applications import (
     purity_product,
 )
 from .fock import (
+    _squared_modulus,
     coherent_state,
     epr_state,
     fidelity,
@@ -78,6 +79,10 @@ def amplify_table(
     gain = gain_from_eta(eta)
     if (alpha is None) == (fock is None):
         raise ValueError("exactly one of alpha / fock must be given")
+    if alpha is not None:
+        # an input or target amplitude with no finite square fails here,
+        # before a state truncated at an explicit cutoff can warn
+        _squared_modulus(max(1.0, gain) * alpha, "amplitude")
     if gamma:
         if alpha is None or asymptotic:
             raise ValueError("the misfire model needs a coherent input at finite arms")
@@ -178,6 +183,11 @@ def fig3_table(
     if gains is None:
         gains = np.linspace(1.0, 3.5, 51)
     gains = [float(g) for g in gains]
+    # an input or target amplitude with no finite square fails here,
+    # before a state truncated at an explicit cutoff can warn
+    scale = max([1.0, *map(abs, gains)])
+    for alpha in alphas:
+        _squared_modulus(scale * alpha, "amplitude")
     rows = []
     for eta in etas:
         g_dev = gain_from_eta(eta)

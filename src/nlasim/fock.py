@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import TruncationError, TruncationWarning
 
-#: Tolerance on squared norms when a state claims to be normalized.
+#: Rounding allowance on a squared norm or trace above 1.
 NORM_TOL = 1e-12
-#: Default bound on the probability mass a constructor may drop.
+#: Bound on the probability mass a constructor may drop without a warning.
 DEFAULT_TAIL_TOL = 1e-12
 
 
@@ -27,6 +27,18 @@ def _frozen_array(values, dtype=np.complex128) -> np.ndarray:
     arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
+
+
+def _squared_modulus(value, name: str) -> float:
+    """|value|**2, rejected when it is not finite rather than left to
+    overflow."""
+    try:
+        squared = abs(complex(value)) ** 2
+    except OverflowError:
+        squared = math.inf
+    if not math.isfinite(squared):
+        raise ValueError(f"{name} {value:.6g} has no finite squared modulus")
+    return squared
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +52,6 @@ class MultiModeState:
 
     mode_cutoffs: tuple
     amplitudes: np.ndarray = field(repr=False)
-    normalized: bool = False
 
     def __post_init__(self):
         cutoffs = tuple(int(c) for c in self.mode_cutoffs)
@@ -54,25 +65,15 @@ class MultiModeState:
         n2 = norm_sq(self)
         if n2 > 1.0 + NORM_TOL:
             raise ValueError(f"squared norm {n2} exceeds 1")
-        if self.normalized and abs(n2 - 1.0) > NORM_TOL:
-            raise ValueError("state flagged normalized but norm**2 != 1")
 
     @property
     def n_modes(self) -> int:
         return len(self.mode_cutoffs)
 
-    def normalize(self) -> "MultiModeState":
-        n2 = norm_sq(self)
-        if n2 <= 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return MultiModeState(
-            self.mode_cutoffs, self.amplitudes / math.sqrt(n2), True
-        )
-
     def __repr__(self):
         return (
             f"MultiModeState(cutoffs={self.mode_cutoffs}, "
-            f"norm_sq={norm_sq(self):.6g}, normalized={self.normalized})"
+            f"norm_sq={norm_sq(self):.6g})"
         )
 
 
@@ -134,20 +135,21 @@ def number_state(n: int, cutoff: int) -> MultiModeState:
         raise ValueError(f"photon number {n} outside basis of size {cutoff}")
     amps = np.zeros(cutoff, dtype=np.complex128)
     amps[n] = 1.0
-    return MultiModeState((cutoff,), amps, normalized=True)
+    return MultiModeState((cutoff,), amps)
 
 
 def vacuum(cutoff: int = 1) -> MultiModeState:
     return number_state(0, cutoff)
 
 
-def minimal_coherent_cutoff(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Smallest cutoff keeping the dropped Poisson tail below ``tail_tol``."""
-    mu = abs(alpha) ** 2
+def minimal_coherent_cutoff(alpha: complex) -> int:
+    """Smallest cutoff keeping the dropped Poisson tail below
+    ``DEFAULT_TAIL_TOL``."""
+    mu = _squared_modulus(alpha, "amplitude")
     term = math.exp(-mu)
     cum = term
     n = 0
-    while 1.0 - cum >= tail_tol:
+    while 1.0 - cum >= DEFAULT_TAIL_TOL:
         n += 1
         term *= mu / n
         cum += term
@@ -156,82 +158,69 @@ def minimal_coherent_cutoff(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) 
     return n + 1
 
 
-def coherent_state(
-    alpha: complex,
-    cutoff: int | None = None,
-    *,
-    strict: bool = False,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> MultiModeState:
+def coherent_state(alpha: complex, cutoff: int | None = None) -> MultiModeState:
     """Coherent state with complex amplitude ``alpha``.
 
     amplitudes[n] = exp(-|alpha|**2 / 2) * alpha**n / sqrt(n!)
 
     With ``cutoff=None`` the basis is sized so the dropped tail mass stays
-    below ``tail_tol``. A vector that still drops more than ``tail_tol``
-    raises ``TruncationError`` when ``strict`` and otherwise comes back
-    unnormalized with a ``TruncationWarning`` attached.
+    below ``DEFAULT_TAIL_TOL``. A vector that still drops that much comes
+    back unnormalized with a ``TruncationWarning``. An ``alpha`` whose
+    squared modulus is not finite raises ``ValueError``.
     """
     alpha = complex(alpha)
+    mu = _squared_modulus(alpha, "amplitude")
     if cutoff is None:
-        cutoff = minimal_coherent_cutoff(alpha, tail_tol)
+        cutoff = minimal_coherent_cutoff(alpha)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     amps = np.empty(cutoff, dtype=np.complex128)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    amps[0] = math.exp(-mu / 2.0)
     for n in range(1, cutoff):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
-    if tail >= tail_tol:
-        if strict:
-            raise TruncationError(
-                f"cutoff {cutoff} drops tail mass {tail:.3g} >= {tail_tol:.3g}"
-            )
+    if tail >= DEFAULT_TAIL_TOL:
         warnings.warn(
             f"coherent state truncated: tail mass {tail:.3g}", TruncationWarning
         )
-    return MultiModeState((cutoff,), amps, normalized=tail < NORM_TOL)
+    return MultiModeState((cutoff,), amps)
 
 
-def minimal_epr_cutoff(chi: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Smallest cutoff keeping the dropped geometric tail below ``tail_tol``."""
+def minimal_epr_cutoff(chi: float) -> int:
+    """Smallest cutoff keeping the dropped geometric tail below
+    ``DEFAULT_TAIL_TOL``."""
     if chi == 0.0:
         return 1
-    cutoff = max(1, math.ceil(math.log(tail_tol) / (2.0 * math.log(chi))))
-    while chi ** (2 * cutoff) >= tail_tol:
+    cutoff = max(1, math.ceil(math.log(DEFAULT_TAIL_TOL) / (2.0 * math.log(chi))))
+    while chi ** (2 * cutoff) >= DEFAULT_TAIL_TOL:
         cutoff += 1
     return cutoff
 
 
-def epr_state(
-    chi: float,
-    cutoff: int | None = None,
-    *,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> MultiModeState:
+def epr_state(chi: float, cutoff: int | None = None) -> MultiModeState:
     """Two-mode squeezed state sqrt(1 - chi**2) * sum_n chi**n |n>|n>.
 
     ``chi`` runs from 0 (product vacuum) towards 1 (maximal entanglement);
     the boundary chi >= 1 is unnormalizable and rejected. The dropped tail
-    mass is chi**(2 * cutoff); if it exceeds ``tail_tol`` the state comes
-    back unnormalized with a ``TruncationWarning``.
+    mass is chi**(2 * cutoff); if it reaches ``DEFAULT_TAIL_TOL`` the state
+    comes back unnormalized with a ``TruncationWarning``.
     """
     if not 0.0 <= chi < 1.0:
         raise ValueError(f"chi must lie in [0, 1), got {chi}")
     if cutoff is None:
-        cutoff = minimal_epr_cutoff(chi, tail_tol)
+        cutoff = minimal_epr_cutoff(chi)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     diag = math.sqrt(1.0 - chi**2) * chi ** np.arange(cutoff)
     amps = np.zeros((cutoff, cutoff), dtype=np.complex128)
     np.fill_diagonal(amps, diag)
     tail = chi ** (2 * cutoff)
-    if tail >= tail_tol:
+    if tail >= DEFAULT_TAIL_TOL:
         warnings.warn(
             f"two-mode squeezed state truncated: tail mass {tail:.3g}",
             TruncationWarning,
         )
-    return MultiModeState((cutoff, cutoff), amps, normalized=tail < NORM_TOL)
+    return MultiModeState((cutoff, cutoff), amps)
 
 
 def annihilation(cutoff: int) -> np.ndarray:
@@ -255,9 +244,7 @@ def tensor(a, b) -> MultiModeState:
     """Kronecker composition of two pure states; cutoff lists concatenate."""
     ma, mb = _pure(a), _pure(b)
     amps = np.multiply.outer(ma.amplitudes, mb.amplitudes)
-    return MultiModeState(
-        ma.mode_cutoffs + mb.mode_cutoffs, amps, ma.normalized and mb.normalized
-    )
+    return MultiModeState(ma.mode_cutoffs + mb.mode_cutoffs, amps)
 
 
 def project_number(state, mode: int, n: int) -> MultiModeState:
@@ -284,7 +271,7 @@ def pad_state(state, new_cutoffs) -> MultiModeState:
         raise ValueError("padding cannot shrink a cutoff")
     widths = [(0, n - o) for n, o in zip(new_cutoffs, mm.mode_cutoffs)]
     amps = np.pad(mm.amplitudes, widths)
-    return MultiModeState(new_cutoffs, amps, mm.normalized)
+    return MultiModeState(new_cutoffs, amps)
 
 
 def density_from_state(state) -> DensityOperator:
@@ -325,7 +312,10 @@ def norm_sq(state) -> float:
 
 def normalize(state) -> MultiModeState:
     """Explicitly normalized copy of a pure state."""
-    return _pure(state).normalize()
+    n2 = norm_sq(state)
+    if n2 <= 0.0:
+        raise ValueError("cannot normalize a zero state")
+    return MultiModeState(state.mode_cutoffs, state.amplitudes / math.sqrt(n2))
 
 
 def purity(rho: DensityOperator) -> float:

@@ -33,6 +33,7 @@ from .fock import (
     DensityOperator,
     MultiModeState,
     _pure,
+    _squared_modulus,
     norm_sq,
     number_state,
     pad_state,
@@ -57,13 +58,7 @@ def _gain_squared(gain: float) -> float:
     rejected rather than left to overflow."""
     if gain <= 0.0:
         raise ValueError("gain must be positive")
-    try:
-        squared = gain**2
-    except OverflowError:
-        squared = math.inf
-    if not math.isfinite(squared):
-        raise ValueError(f"gain {gain:.6g} has no finite square")
-    return squared
+    return _squared_modulus(gain, "gain")
 
 
 def eta_from_gain(gain: float) -> float:
@@ -143,7 +138,8 @@ def nla_apply_asymptotic(state, gain: float, mode: int = 0) -> MultiModeState:
         raise ValueError("gain must be positive")
     mm = _pure(state)
     shape = _mode_shape(mm, mode)
-    coeffs = gain ** np.arange(shape[mode], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        coeffs = gain ** np.arange(shape[mode], dtype=np.float64)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(f"gain {gain:.6g} gives non-finite g**n within the cutoff")
     amps = mm.amplitudes * coeffs.reshape(shape)
@@ -153,14 +149,7 @@ def nla_apply_asymptotic(state, gain: float, mode: int = 0) -> MultiModeState:
     n2 = float(weights.sum())
     if n2 <= 0.0:
         raise ValueError("amplified state has zero norm")
-    return MultiModeState(mm.mode_cutoffs, amps / math.sqrt(n2), True)
-
-
-def success_probability_asymptotic(alpha: complex, arm_count: int, eta: float) -> float:
-    """Large-arm-count success probability on a coherent input:
-    eta**N * exp(-(1 - g**2) |alpha|**2)."""
-    g = gain_from_eta(eta)
-    return eta**arm_count * math.exp(-(1.0 - g**2) * abs(alpha) ** 2)
+    return MultiModeState(mm.mode_cutoffs, amps / math.sqrt(n2))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +162,7 @@ def _flip_odd(state: MultiModeState, mode: int) -> MultiModeState:
     idx = [slice(None)] * state.n_modes
     idx[mode] = 1
     amps[tuple(idx)] *= -1.0
-    return MultiModeState(state.mode_cutoffs, amps, state.normalized)
+    return MultiModeState(state.mode_cutoffs, amps)
 
 
 def _split_input(inp: MultiModeState, arm_count: int) -> MultiModeState:
@@ -181,7 +170,7 @@ def _split_input(inp: MultiModeState, arm_count: int) -> MultiModeState:
     forward N-splitter: the part of the circuit every click pattern shares."""
     nz = np.nonzero(np.abs(inp.amplitudes) > 0.0)[0]
     c_arm = int(nz[-1]) + 1 if nz.size else 1
-    state = MultiModeState((c_arm,), inp.amplitudes[:c_arm], inp.normalized)
+    state = MultiModeState((c_arm,), inp.amplitudes[:c_arm])
     for _ in range(arm_count - 1):
         state = tensor(state, number_state(0, c_arm))
     return apply_nsplitter(state)
@@ -316,7 +305,7 @@ def misfire_terms(
     g = gain_from_eta(eta)
     if cutoff is None:
         cutoff = arm_count + 1
-    envelope = math.exp(-abs(alpha) ** 2 / 2.0)
+    envelope = math.exp(-_squared_modulus(alpha, "amplitude") / 2.0)
 
     def branch(arms: int, weight: float) -> MultiModeState:
         amps = np.zeros(cutoff, dtype=np.complex128)

@@ -91,14 +91,12 @@ def _sector_rows(ci: int, cj: int) -> tuple:
     return order[:size], order[size:]
 
 
-def apply_beamsplitter(
-    state, spec: BeamsplitterSpec, *, overflow_tol: float = OVERFLOW_TOL
-):
+def apply_beamsplitter(state, spec: BeamsplitterSpec):
     """Apply the two-mode beamsplitter unitary to a pure state.
 
     Photon-number sectors beyond what the two cutoffs can represent raise
     ``TruncationError`` once their probability mass exceeds
-    ``overflow_tol``; below that they are dropped with the norm budget.
+    ``OVERFLOW_TOL``; below that they are dropped with the norm budget.
     """
     mm = _pure(state)
     i, j = spec.mode_pair
@@ -113,7 +111,7 @@ def apply_beamsplitter(
     rows, over = _sector_rows(ci, cj)
     if over.size:
         mass = float(np.sum(np.abs(flat[over]) ** 2))
-        if mass > overflow_tol:
+        if mass > OVERFLOW_TOL:
             raise TruncationError(
                 f"photon overflow past cutoffs ({ci}, {cj}): sector mass {mass:.3g}"
             )
@@ -126,7 +124,7 @@ def apply_beamsplitter(
     out = np.zeros_like(flat)
     out[rows] = sectors
     out = np.moveaxis(out.reshape(amps.shape), (0, 1), (i, j))
-    return MultiModeState(mm.mode_cutoffs, out, mm.normalized)
+    return MultiModeState(mm.mode_cutoffs, out)
 
 
 def apply_nsplitter(state, inverse: bool = False):
@@ -141,19 +139,6 @@ def apply_nsplitter(state, inverse: bool = False):
         spec = BeamsplitterSpec(1.0 / (n - k + 1), (k, k - 1))
         mm = apply_beamsplitter(mm, spec.inverted() if inverse else spec)
     return mm
-
-
-def phase_shift(state, theta: float, mode: int = 0):
-    """Multiply the |n> amplitude of one mode by exp(i n theta)."""
-    mm = _pure(state)
-    if not 0 <= mode < mm.n_modes:
-        raise ValueError(f"mode {mode} out of range")
-    phases = np.exp(1j * theta * np.arange(mm.mode_cutoffs[mode]))
-    shape = [1] * mm.n_modes
-    shape[mode] = -1
-    return MultiModeState(
-        mm.mode_cutoffs, mm.amplitudes * phases.reshape(shape), mm.normalized
-    )
 
 
 def loss_channel(state, epsilon: float, mode: int = 0) -> MultiModeState:

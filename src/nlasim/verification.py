@@ -34,7 +34,7 @@ def random_support_state(rng, cutoff: int, max_support: int) -> MultiModeState:
     live = min(max_support + 1, cutoff)
     amps[:live] = rng.normal(size=live) + 1j * rng.normal(size=live)
     amps /= math.sqrt(float(np.vdot(amps, amps).real))
-    return MultiModeState((cutoff,), amps, normalized=True)
+    return MultiModeState((cutoff,), amps)
 
 
 def oracle_equivalence_report(
@@ -44,8 +44,6 @@ def oracle_equivalence_report(
     max_support: int = 3,
     seed: int = 7,
     oracle_limit: int = nla.ORACLE_ARM_LIMIT,
-    fidelity_tol: float = ORACLE_FIDELITY_TOL,
-    prob_tol: float = ORACLE_PROB_TOL,
 ) -> dict:
     """Compare the brute-force circuit against the diagonal operator.
 
@@ -97,9 +95,12 @@ def oracle_equivalence_report(
         "skipped": skipped,
         "max_infidelity": worst_infidelity,
         "max_prob_rel_err": worst_prob_err,
-        "passed": worst_infidelity <= fidelity_tol and worst_prob_err <= prob_tol,
-        "fidelity_tol": fidelity_tol,
-        "prob_tol": prob_tol,
+        "passed": (
+            worst_infidelity <= ORACLE_FIDELITY_TOL
+            and worst_prob_err <= ORACLE_PROB_TOL
+        ),
+        "fidelity_tol": ORACLE_FIDELITY_TOL,
+        "prob_tol": ORACLE_PROB_TOL,
     }
 
 

@@ -14,7 +14,7 @@ def random_fock(rng, cutoff, support=None) -> MultiModeState:
     amps = np.zeros(cutoff, dtype=np.complex128)
     amps[:live] = rng.normal(size=live) + 1j * rng.normal(size=live)
     amps /= np.linalg.norm(amps)
-    return MultiModeState((cutoff,), amps, normalized=True)
+    return MultiModeState((cutoff,), amps)
 
 
 def random_multimode(rng, cutoffs, max_total=None) -> MultiModeState:
@@ -29,7 +29,7 @@ def random_multimode(rng, cutoffs, max_total=None) -> MultiModeState:
             totals = totals + np.arange(c).reshape(shape)
         amps = np.where(totals <= max_total, amps, 0.0)
     amps /= np.linalg.norm(amps.reshape(-1))
-    return MultiModeState(tuple(cutoffs), amps, normalized=True)
+    return MultiModeState(tuple(cutoffs), amps)
 
 
 def random_density(rng, cutoffs, rank=3) -> DensityOperator:

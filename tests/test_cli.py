@@ -334,9 +334,19 @@ BAD_INPUTS = [
     "distill --chi 0.1 --gain 1e200",  # 1 by traceback: OverflowError
     "distill --chi 0.1 --asymptotic --gain 1e200 --loss 0.5",  # 1 by traceback: OverflowError
     "fig4 --sweep gain=1e200:1e200:1 --cutoff 4",  # 1 by traceback: OverflowError
+    "amplify --alpha 1e160",  # 1 by traceback: OverflowError
+    "amplify --alpha 1e154 --cutoff 4",  # 1 by traceback: OverflowError
+    "clone --alpha 1e160 --cutoff 4",  # 1 by traceback: OverflowError
+    "clone --alpha 1e160 --asymptotic --cutoff 4",  # 1 by traceback: OverflowError
+    "fig3 --sweep alpha=1e160:1e160:1 --cutoff 4",  # 1 by traceback: OverflowError
+    "fig3 --sweep gain=1e200:1e200:1 --cutoff 4",  # 1 by traceback: OverflowError
+    "amplify --alpha 1e200 --gamma 0.01 --cutoff 4",  # 1 by traceback: OverflowError
+    "amplify --fock 5 --asymptotic --gain 1e150",  # 1, after a RuntimeWarning
 ]
 
 
+# any warning on a bad-input path is an extra stderr line, so it fails here
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", BAD_INPUTS)
 def test_bad_input_exits_1_with_one_line(argv, capsys, tmp_path):
     code, out, err = run_cli(argv.format(tmp=tmp_path).split(), capsys)

@@ -9,7 +9,6 @@ from nlasim import (
     BeamsplitterSpec,
     DensityOperator,
     MultiModeState,
-    TruncationError,
     TruncationWarning,
     annihilation,
     apply_beamsplitter,
@@ -38,23 +37,20 @@ class TestCoherentState:
     def test_vacuum_amplitude(self):
         state = coherent_state(0.0, 4)
         assert np.allclose(state.amplitudes, [1, 0, 0, 0])
-        assert state.normalized
+        assert abs(norm_sq(state) - 1.0) < 1e-12
 
     def test_strict_truncation_error(self):
         # dropped mass of |alpha=1> past |1> is 1 - 2/e
-        with pytest.raises(TruncationError):
-            coherent_state(1.0, 2, strict=True)
         with pytest.warns(TruncationWarning):
             state = coherent_state(1.0, 2)
         tail = 1.0 - norm_sq(state)
         assert abs(tail - (1.0 - 2.0 * math.exp(-1.0))) < 1e-12
-        assert not state.normalized
 
     def test_direct_expansion_value(self):
         state = coherent_state(0.5, 20)
         want = math.exp(-0.125) * 0.5
         assert abs(state.amplitudes[1] - want) < 1e-15
-        assert state.normalized
+        assert abs(norm_sq(state) - 1.0) < 1e-12
 
     def test_amplitudes_match_formula(self, rng):
         alpha = 0.4 + 0.3j
@@ -72,7 +68,9 @@ class TestCoherentState:
             c = minimal_coherent_cutoff(alpha)
             assert 1.0 - norm_sq(coherent_state(alpha, c)) < 1e-12
             if c > 1:
-                assert 1.0 - norm_sq(coherent_state(alpha, c - 1, tail_tol=1.0)) >= 1e-12
+                with pytest.warns(TruncationWarning):
+                    short = coherent_state(alpha, c - 1)
+                assert 1.0 - norm_sq(short) >= 1e-12
 
 
 class TestEprState:
@@ -83,15 +81,15 @@ class TestEprState:
         assert np.allclose(state.amplitudes, want)
 
     def test_diagonal_amplitudes(self):
-        state = epr_state(0.5, 2, tail_tol=1.0)
+        with pytest.warns(TruncationWarning):
+            state = epr_state(0.5, 2)
         assert abs(state.amplitudes[0, 0] - math.sqrt(0.75)) < 1e-15
         assert abs(state.amplitudes[1, 1] - math.sqrt(0.75) * 0.5) < 1e-15
         assert state.amplitudes[0, 1] == 0.0
 
     def test_tail_below_tolerance(self):
         state = epr_state(0.0997, 15)
-        assert 1.0 - norm_sq(state) < 1e-12
-        assert state.normalized
+        assert abs(norm_sq(state) - 1.0) < 1e-12
 
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
@@ -122,7 +120,9 @@ class TestTensorAndTrace:
 
     def test_epr_marginal_is_thermal(self):
         chi = 0.6
-        rho = partial_trace(epr_state(chi, 12, tail_tol=1.0), [1])
+        with pytest.warns(TruncationWarning):
+            psi = epr_state(chi, 12)
+        rho = partial_trace(psi, [1])
         diag = np.diag(rho.matrix).real
         want = (1 - chi**2) * chi ** (2 * np.arange(12))
         assert np.max(np.abs(diag - want)) < 1e-12
@@ -130,13 +130,16 @@ class TestTensorAndTrace:
         assert np.max(np.abs(off)) < 1e-14
 
     def test_trace_nothing_returns_representation(self):
-        psi = epr_state(0.3, 5, tail_tol=1.0)
+        with pytest.warns(TruncationWarning):
+            psi = epr_state(0.3, 5)
         rho = partial_trace(psi, [])
         assert np.allclose(rho.matrix, density_from_state(psi).matrix)
 
     def test_all_modes_rejected(self):
+        with pytest.warns(TruncationWarning):
+            psi = epr_state(0.3, 4)
         with pytest.raises(ValueError):
-            partial_trace(epr_state(0.3, 4, tail_tol=1.0), [0, 1])
+            partial_trace(psi, [0, 1])
 
     def test_trace_preserving_on_random_states(self, rng):
         for _ in range(1000):
@@ -184,9 +187,7 @@ class TestFidelity:
     def test_unity_iff_equal_up_to_phase(self, rng):
         for _ in range(20):
             a = random_fock(rng, 5)
-            phased = MultiModeState(
-                (5,), a.amplitudes * np.exp(0.83j), normalized=True
-            )
+            phased = MultiModeState((5,), a.amplitudes * np.exp(0.83j))
             assert fidelity(a, phased) == pytest.approx(1.0, abs=1e-12)
             b = random_fock(rng, 5)
             overlap = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
@@ -194,7 +195,7 @@ class TestFidelity:
                 assert fidelity(a, b) < 1.0 - 1e-7
 
     def test_auto_padding(self):
-        narrow = coherent_state(0.5, 10, tail_tol=1.0)
+        narrow = coherent_state(0.5, 10)
         wide = coherent_state(0.5, 14)
         assert fidelity(narrow, wide) == pytest.approx(1.0, abs=1e-8)
 
@@ -224,8 +225,10 @@ class TestFidelity:
             fidelity(dead, vacuum(3))
 
     def test_mode_count_mismatch_rejected(self):
+        with pytest.warns(TruncationWarning):
+            psi = epr_state(0.2, 3)
         with pytest.raises(ValueError):
-            fidelity(vacuum(3), epr_state(0.2, 3, tail_tol=1.0))
+            fidelity(vacuum(3), psi)
 
 
 class TestInvariantsAndPlumbing:
@@ -285,7 +288,8 @@ class TestInvariantsAndPlumbing:
             assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
 
     def test_pad_state(self):
-        state = coherent_state(0.3, 5, tail_tol=1.0)
+        with pytest.warns(TruncationWarning):
+            state = coherent_state(0.3, 5)
         padded = pad_state(state, (9,))
         assert padded.mode_cutoffs == (9,)
         assert np.allclose(padded.amplitudes[:5], state.amplitudes)

@@ -1,5 +1,6 @@
 """Import hygiene of the package sources: no module imports a name it never
-uses, and the package exports exactly what its ``__init__`` imports."""
+uses, the package exports exactly what its ``__init__`` imports, and no
+private helper or module constant is left with no reader."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,45 @@ def test_no_unused_import(path):
 def test_all_lists_exactly_the_imports():
     tree = ast.parse(Path(nlasim.__file__).read_text())
     assert nlasim.__all__ == ["__version__", *_imported_names(tree)]
+
+
+def _private_and_constants(tree):
+    """Private top-level functions and module-level constants, each with
+    the node that defines it."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield target.id, node
+
+
+def _is_read(name, definition, trees) -> bool:
+    """Whether any source reads ``name``, by name or as an attribute,
+    outside the node that defines it."""
+    todo = list(trees)
+    while todo:
+        node = todo.pop()
+        if node is definition:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id == name:
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        todo.extend(ast.iter_child_nodes(node))
+    return False
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_orphan_helper_or_constant(path):
+    trees = [ast.parse(p.read_text()) for p in SOURCES]
+    own = trees[SOURCES.index(path)]
+    orphans = [
+        name
+        for name, node in _private_and_constants(own)
+        if not _is_read(name, node, trees)
+    ]
+    assert not orphans, f"{path.name} defines {orphans} but nothing reads them"

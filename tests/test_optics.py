@@ -10,6 +10,7 @@ from nlasim import (
     BeamsplitterSpec,
     MultiModeState,
     TruncationError,
+    TruncationWarning,
     annihilation,
     apply_beamsplitter,
     apply_nsplitter,
@@ -21,7 +22,6 @@ from nlasim import (
     norm_sq,
     number_state,
     partial_trace,
-    phase_shift,
     tensor,
     vacuum,
 )
@@ -102,7 +102,7 @@ class TestSectorBlocks:
         amps = np.zeros((sector + 1, sector + 1), dtype=np.complex128)
         live = rng.normal(size=(2, sector + 1))
         amps[n, sector - n] = live[0] + 1j * live[1]
-        state = MultiModeState(amps.shape, amps / np.linalg.norm(amps), True)
+        state = MultiModeState(amps.shape, amps / np.linalg.norm(amps))
         spec = BeamsplitterSpec(t, (0, 1))
         back = apply_beamsplitter(apply_beamsplitter(state, spec), spec.inverted())
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-13
@@ -162,7 +162,7 @@ class TestBeamsplitter:
         amps = np.zeros((ci, cj), dtype=np.complex128)
         amps[:4, :4] = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         amps /= np.linalg.norm(amps)
-        state = MultiModeState((ci, cj), amps, True)
+        state = MultiModeState((ci, cj), amps)
         out = apply_beamsplitter(state, BeamsplitterSpec(t, (0, 1)))
         want = (expm_beamsplitter(t, ci, cj) @ amps.reshape(-1)).reshape(ci, cj)
         assert np.max(np.abs(out.amplitudes - want)) < 1e-12
@@ -285,7 +285,9 @@ class TestLossChannel:
     def test_purification_amplitudes(self):
         # direct binomial evaluation of the environment amplitudes
         chi, eps, c = 0.5, 0.5, 6
-        joint = loss_channel(epr_state(chi, c, tail_tol=1.0), eps, mode=0)
+        with pytest.warns(TruncationWarning):
+            source = epr_state(chi, c)
+        joint = loss_channel(source, eps, mode=0)
         for n in range(c):
             for k in range(n + 1):
                 want = (
@@ -332,22 +334,3 @@ class TestLossChannel:
             rho = lossy(state, eps, mode)
             assert rho.basis_cutoffs == cutoffs
             assert np.max(np.abs(rho.matrix - kraus_loss(state, eps, mode))) < 1e-12
-
-
-class TestPhaseShift:
-    def test_zero_is_identity(self, rng):
-        state = random_fock(rng, 4)
-        out = phase_shift(state, 0.0)
-        assert np.allclose(out.amplitudes, state.amplitudes)
-
-    def test_pi_flips_odd_component(self):
-        plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        state = MultiModeState((2,), plus, normalized=True)
-        out = phase_shift(state, math.pi)
-        want = np.array([1.0, -1.0]) / math.sqrt(2.0)
-        assert np.max(np.abs(out.amplitudes - want)) < 1e-12
-
-    def test_pi_twice_is_identity(self, rng):
-        state = random_fock(rng, 5)
-        out = phase_shift(phase_shift(state, math.pi), math.pi)
-        assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12

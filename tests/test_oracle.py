@@ -22,7 +22,12 @@ from nlasim import (
 from nlasim.fock import pad_state, project_number
 from nlasim.nla import _flip_odd, _pattern_outputs, _split_input
 from nlasim.optics import BeamsplitterSpec, apply_beamsplitter, apply_nsplitter
-from nlasim.verification import oracle_equivalence_report, random_support_state
+from nlasim.verification import (
+    ORACLE_FIDELITY_TOL,
+    ORACLE_PROB_TOL,
+    oracle_equivalence_report,
+    random_support_state,
+)
 
 
 def reference_pattern(
@@ -106,7 +111,7 @@ class TestSingleArm:
     def test_plus_state_hand_computation(self):
         eta = 0.3
         amps = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        state = MultiModeState((2,), amps, normalized=True)
+        state = MultiModeState((2,), amps)
         out = physical_circuit(state, 1, eta)
         assert norm_sq(out) == pytest.approx(0.5, rel=1e-12)
         want = np.array([math.sqrt(eta), math.sqrt(1.0 - eta)])
@@ -118,7 +123,7 @@ class TestSingleArm:
         # |0> -> sqrt(eta/2) |0>, |1> -> sign * sqrt((1-eta)/2) |1>, |n>=2> -> 0
         eta = 0.4
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = MultiModeState((4,), amps / np.linalg.norm(amps), normalized=True)
+        state = MultiModeState((4,), amps / np.linalg.norm(amps))
         outputs = pattern_outputs(state, 1, 4, eta)
         for sign in (+1, -1):
             raw, prob = outputs[(sign,)]
@@ -223,6 +228,11 @@ class TestEquivalence:
         assert report["passed"]
         assert report["max_infidelity"] <= 1e-10
         assert report["max_prob_rel_err"] <= 1e-9
+        # the benchmark reads and records these two keys
+        assert (report["fidelity_tol"], report["prob_tol"]) == (
+            ORACLE_FIDELITY_TOL,
+            ORACLE_PROB_TOL,
+        )
 
     def test_five_arms_at_the_default_limit(self, rng):
         state = random_support_state(rng, 6, 5)
