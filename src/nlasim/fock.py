@@ -165,8 +165,9 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> MultiModeState:
 
     With ``cutoff=None`` the basis is sized so the dropped tail mass stays
     below ``DEFAULT_TAIL_TOL``. A vector that still drops that much comes
-    back unnormalized with a ``TruncationWarning``. An ``alpha`` whose
-    squared modulus is not finite raises ``ValueError``.
+    back unnormalized with a ``TruncationWarning``; one whose kept squared
+    norm underflows to 0 raises ``ValueError``, as does an ``alpha`` whose
+    squared modulus is not finite.
     """
     alpha = complex(alpha)
     mu = _squared_modulus(alpha, "amplitude")
@@ -178,7 +179,13 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> MultiModeState:
     amps[0] = math.exp(-mu / 2.0)
     for n in range(1, cutoff):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
+    kept = float(np.vdot(amps, amps).real)
+    if kept == 0.0:
+        raise ValueError(
+            f"coherent state of amplitude {abs(alpha):.6g} keeps no weight "
+            f"within cutoff {cutoff}"
+        )
+    tail = max(0.0, 1.0 - kept)
     if tail >= DEFAULT_TAIL_TOL:
         warnings.warn(
             f"coherent state truncated: tail mass {tail:.3g}", TruncationWarning
@@ -245,33 +252,6 @@ def tensor(a, b) -> MultiModeState:
     ma, mb = _pure(a), _pure(b)
     amps = np.multiply.outer(ma.amplitudes, mb.amplitudes)
     return MultiModeState(ma.mode_cutoffs + mb.mode_cutoffs, amps)
-
-
-def project_number(state, mode: int, n: int) -> MultiModeState:
-    """Project one mode onto |n> and drop it (unnormalized heralding)."""
-    mm = _pure(state)
-    if not 0 <= mode < mm.n_modes:
-        raise ValueError(f"mode {mode} out of range")
-    if mm.n_modes == 1:
-        raise ValueError("cannot project away the last mode")
-    if not 0 <= n < mm.mode_cutoffs[mode]:
-        raise ValueError(f"count {n} outside mode cutoff")
-    amps = np.take(mm.amplitudes, n, axis=mode)
-    cutoffs = mm.mode_cutoffs[:mode] + mm.mode_cutoffs[mode + 1 :]
-    return MultiModeState(cutoffs, amps)
-
-
-def pad_state(state, new_cutoffs) -> MultiModeState:
-    """Embed a pure state into larger per-mode cutoffs (zero padding)."""
-    mm = _pure(state)
-    new_cutoffs = tuple(int(c) for c in new_cutoffs)
-    if len(new_cutoffs) != mm.n_modes:
-        raise ValueError("cutoff list length != mode count")
-    if any(n < o for n, o in zip(new_cutoffs, mm.mode_cutoffs)):
-        raise ValueError("padding cannot shrink a cutoff")
-    widths = [(0, n - o) for n, o in zip(new_cutoffs, mm.mode_cutoffs)]
-    amps = np.pad(mm.amplitudes, widths)
-    return MultiModeState(new_cutoffs, amps)
 
 
 def density_from_state(state) -> DensityOperator:

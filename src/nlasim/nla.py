@@ -13,34 +13,24 @@ accepted (the odd one after a pi feed-forward), so there are 2**N accepted
 patterns in total and the squared norm of the mapped state is the full
 success probability.
 
-``physical_circuit`` re-derives all of this by brute force from
+``physical_circuit`` re-derives all of this from the circuit itself:
 beamsplitters, single-photon ancillas and projective detection; it is the
-oracle the closed form is tested against. Every pattern runs through the
-actual circuit, but patterns share their prefix work: the input is split
-once, and each arm is mixed once per sign prefix before the walk branches
-on that arm's two click patterns.
+oracle the closed form is tested against. The circuit is linear optics, so
+it is one 3N x 3N mode matrix per click pattern, and each heralded
+amplitude is a permanent of a submatrix of it (Scheel, quant-ph/0406127).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 
 from .errors import NonconvergentError
-from .fock import (
-    DensityOperator,
-    MultiModeState,
-    _pure,
-    _squared_modulus,
-    norm_sq,
-    number_state,
-    pad_state,
-    project_number,
-    tensor,
-)
-from .optics import BeamsplitterSpec, apply_beamsplitter, apply_nsplitter
+from .fock import DensityOperator, MultiModeState, _pure, _squared_modulus, norm_sq
+from .optics import BeamsplitterSpec, _mix_rows
 
 #: Largest arm count the brute-force circuit will simulate by default.
 ORACLE_ARM_LIMIT = 5
@@ -153,84 +143,82 @@ def nla_apply_asymptotic(state, gain: float, mode: int = 0) -> MultiModeState:
 
 
 # ---------------------------------------------------------------------------
-# brute-force circuit oracle
+# circuit oracle: permanents of the mode matrix
 
 
-def _flip_odd(state: MultiModeState, mode: int) -> MultiModeState:
-    """Exact pi phase on one mode: negate the |1> amplitude."""
-    amps = state.amplitudes.copy()
-    idx = [slice(None)] * state.n_modes
-    idx[mode] = 1
-    amps[tuple(idx)] *= -1.0
-    return MultiModeState(state.mode_cutoffs, amps)
+def _circuit_matrix(arm_count: int, eta: float) -> np.ndarray:
+    """3N x 3N mode matrix of the circuit up to detection.
 
-
-def _split_input(inp: MultiModeState, arm_count: int) -> MultiModeState:
-    """Trim the input to its support, append N-1 vacuum arms and apply the
-    forward N-splitter: the part of the circuit every click pattern shares."""
-    nz = np.nonzero(np.abs(inp.amplitudes) > 0.0)[0]
-    c_arm = int(nz[-1]) + 1 if nz.size else 1
-    state = MultiModeState((c_arm,), inp.amplitudes[:c_arm])
-    for _ in range(arm_count - 1):
-        state = tensor(state, number_state(0, c_arm))
-    return apply_nsplitter(state)
-
-
-def _pattern_outputs(split: MultiModeState, cutoff: int, eta: float) -> dict:
-    """Run the circuit after the forward splitter for every detector pattern.
-
-    ``split`` is ``_split_input`` of the input. ``signs[i] = +1`` heralds
-    on (1, 0) at arm i's detector pair and -1 on (0, 1), the latter
-    followed by the pi feed-forward. The patterns are walked depth first
-    as a tree over the arms: patterns that agree on their first k signs
-    hold the same state up to arm k, and an arm's ancilla, eta split and
-    50:50 mix precede the reading of its sign, so each arm is mixed once
-    per sign prefix. Returns {signs: (out, prob)} in
-    ``itertools.product((+1, -1), repeat=N)`` order, with the unnormalized
-    output amplitudes padded to ``cutoff`` and the pattern probability.
+    Modes are ordered as the arms 0..N-1, the kept outputs N..2N-1 and the
+    ancillas 2N..3N-1. The forward splitter divides arm 0 over every arm;
+    then each ancilla photon splits over (kept, ancilla) with
+    transmissivity eta and the ancilla mixes 50:50 with its arm.
     """
-    n = split.n_modes
-    support = split.mode_cutoffs[0] - 1
-    # kept modes hold at most min(n, support) photons in total
-    kept_room = max(2, min(n, support) + 1)
-    o_idx, m_idx = n, n + 1
+    n = arm_count
+    u = np.eye(3 * n)
+    for k in range(1, n):
+        _mix_rows(u, BeamsplitterSpec(1.0 / (n - k + 1), (k, k - 1)))
+    for arm in range(n):
+        _mix_rows(u, BeamsplitterSpec(eta, (n + arm, 2 * n + arm)))
+        _mix_rows(u, BeamsplitterSpec(0.5, (arm, 2 * n + arm)))
+    return u
+
+
+def _heralded_coefficients(u: np.ndarray, clicked: list, top: int) -> np.ndarray:
+    """c_n = perm(A_n) / n! for n = 0..top, one pattern's map |n> -> c_n |n>.
+
+    A_n takes the rows [o_0]*n plus the ``clicked`` modes of the final mode
+    matrix ``u``, and the columns [arm 0]*n plus the ancillas. Ryser's
+    formula runs over the subsets of those columns; grouping the subsets
+    by how many copies of arm 0 they hold leaves (n+1) 2**N terms.
+    """
+    n_arms = len(clicked)
+    rows = u[[n_arms] + clicked]
+    subsets = (np.arange(2**n_arms)[:, None] >> np.arange(n_arms)) & 1
+    partial = subsets @ rows[:, 2 * n_arms :].T
+    parity = 1 - 2 * (subsets.sum(axis=1) % 2)
+    coeffs = np.empty(top + 1)
+    for n in range(top + 1):
+        copies = np.arange(n + 1)
+        sums = partial + copies[:, None, None] * rows[:, 0]
+        terms = sums[..., 0] ** n * np.prod(sums[..., 1:], axis=-1)
+        weights = np.array([(-1) ** k * math.comb(n, k) for k in copies])
+        perm = (-1) ** (n + n_arms) * np.sum(np.outer(weights, parity) * terms)
+        coeffs[n] = perm / math.factorial(n)
+    return coeffs
+
+
+def _heralded_outputs(inp: MultiModeState, arm_count: int, eta: float) -> dict:
+    """Unnormalized output of every detector pattern, from permanents.
+
+    ``signs[i] = +1`` heralds on one click at arm i's port and -1 on one
+    at its ancilla port, the latter followed by the pi feed-forward on the
+    kept mode. After the inverse splitter only the kept mode o_0 may hold
+    light, so photon number conservation makes each pattern diagonal. The
+    kept rows hold exact zeros in the arm columns, because only ancilla
+    light reaches them, so inputs above N photons go exactly dark and c_n
+    is computed up to min(support, N). Returns {signs: amplitudes}, padded
+    to the input cutoff, in ``itertools.product((+1, -1), repeat=N)`` order.
+    """
+    n = arm_count
+    amps = inp.amplitudes
+    live = np.flatnonzero(amps)
+    top = min(int(live[-1]) if live.size else 0, n)
+    detected = _circuit_matrix(n, eta)
     outputs = {}
-
-    def walk(state: MultiModeState, signs: tuple):
-        arm = len(signs)
-        if arm == n:
-            state = pad_state(state, [kept_room] * n)
-            state = apply_nsplitter(state, inverse=True)
-            for mode in range(n - 1, 0, -1):
-                state = project_number(state, mode, 0)
-            kept = state.amplitudes.reshape(-1)[:cutoff]
-            out = np.zeros(cutoff, dtype=np.complex128)
-            out[: kept.size] = kept
-            outputs[signs] = (out, float(np.vdot(out, out).real))
-            return
-        # ancilla photon split over (kept, mixed) with transmissivity eta
-        state = tensor(state, number_state(0, 2))   # kept output mode o
-        state = tensor(state, number_state(1, 2))   # mixing mode m
-        state = apply_beamsplitter(state, BeamsplitterSpec(eta, (o_idx, m_idx)))
-        # 50:50 mix of the arm with m, then count both ports
-        room = list(state.mode_cutoffs)
-        room[arm] = support + 2
-        room[m_idx] = support + 2
-        state = pad_state(state, room)
-        mixed = apply_beamsplitter(state, BeamsplitterSpec(0.5, (arm, m_idx)))
-        for sign, clicks in ((+1, (1, 0)), (-1, (0, 1))):
-            state = project_number(mixed, m_idx, clicks[1])
-            state = project_number(state, arm, clicks[0])
-            # the kept mode slots in where the arm was
-            amps = np.moveaxis(state.amplitudes, n - 1, arm)
-            cutoffs = list(state.mode_cutoffs)
-            cutoffs.insert(arm, cutoffs.pop(n - 1))
-            state = MultiModeState(tuple(cutoffs), amps)
+    for signs in itertools.product((+1, -1), repeat=n):
+        u = detected.copy()
+        # the pi feed-forward after a -1 click negates the kept mode
+        for arm, sign in enumerate(signs):
             if sign == -1:
-                state = _flip_odd(state, arm)
-            walk(state, signs + (sign,))
-
-    walk(split, ())
+                u[n + arm] *= -1.0
+        # the inverse splitter on the kept modes
+        for k in range(n - 1, 0, -1):
+            _mix_rows(u, BeamsplitterSpec(1.0 / (n - k + 1), (n + k - 1, n + k)))
+        clicked = [arm if sign == +1 else 2 * n + arm for arm, sign in enumerate(signs)]
+        out = np.zeros(inp.mode_cutoffs[0], dtype=np.complex128)
+        out[: top + 1] = amps[: top + 1] * _heralded_coefficients(u, clicked, top)
+        outputs[signs] = out
     return outputs
 
 
@@ -241,17 +229,16 @@ def physical_circuit(
     *,
     oracle_limit: int = ORACLE_ARM_LIMIT,
 ) -> MultiModeState:
-    """Brute-force simulation of the whole amplifier.
+    """Simulation of the whole amplifier from its circuit.
 
     Splits the input over N arms, runs each scissors stage as an actual
     subcircuit (ancilla beamsplitter, 50:50 mix, projective detection on
     both ports), recombines through the inverse splitter and projects the
-    non-output ports on vacuum. All 2**N accepted click patterns are
-    summed; after feed-forward they herald the same pure state, returned
-    with squared norm equal to the total success probability. Patterns
-    that agree on their first k signs share the work up to arm k (see
-    ``_pattern_outputs``), so a call applies (N-1) + 2 (2**N - 1) +
-    (N-1) 2**N beamsplitters.
+    non-output ports on vacuum. Each click pattern's amplitudes are
+    permanents of the circuit's mode matrix (see ``_heralded_outputs``).
+    All 2**N accepted patterns are summed; after feed-forward they herald
+    the same pure state, returned with squared norm equal to the total
+    success probability.
     """
     if arm_count < 1:
         raise ValueError("arm_count must be >= 1")
@@ -266,14 +253,15 @@ def physical_circuit(
     if norm_sq(inp) <= 0.0:
         raise ValueError("input state has zero norm")
 
-    split = _split_input(inp, arm_count)
-    outputs = _pattern_outputs(split, inp.mode_cutoffs[0], eta)
+    outputs = _heralded_outputs(inp, arm_count, eta)
+    probs = {signs: float(np.vdot(out, out).real) for signs, out in outputs.items()}
     total = 0.0
     # plain left-to-right addition in pattern order (sum() compensates on
     # Python >= 3.12, which would move the last bits)
-    for _, prob in outputs.values():
+    for prob in probs.values():
         total += prob
-    ref_out, ref_prob = outputs[(+1,) * arm_count]
+    ref = (+1,) * arm_count
+    ref_out, ref_prob = outputs[ref], probs[ref]
     scale = math.sqrt(total / ref_prob) if ref_prob > 0.0 else 0.0
     return MultiModeState(inp.mode_cutoffs, ref_out * scale)
 
@@ -310,8 +298,15 @@ def misfire_terms(
     def branch(arms: int, weight: float) -> MultiModeState:
         amps = np.zeros(cutoff, dtype=np.complex128)
         x = g * alpha / arm_count
-        for n in range(min(arms, cutoff - 1) + 1):
-            amps[n] = math.comb(arms, n) * x**n * math.sqrt(math.factorial(n))
+        try:
+            for n in range(min(arms, cutoff - 1) + 1):
+                amps[n] = math.comb(arms, n) * x**n * math.sqrt(math.factorial(n))
+        except OverflowError:
+            amps[:] = math.inf
+        if not np.all(np.isfinite(amps)):
+            raise ValueError(
+                f"per-arm amplitude {abs(x):.6g} has no finite powers within the cutoff"
+            )
         return MultiModeState((cutoff,), weight * envelope * amps)
 
     first = branch(arm_count, math.sqrt(1.0 - gamma) * eta ** (arm_count / 2.0))

@@ -7,7 +7,9 @@ with intensity transmissivity t, coherent amplitudes transform as
     beta  -> sqrt(t) beta  - sqrt(1 - t) alpha
 
 so a single photon in the first mode goes to
-sqrt(t) |1,0> - sqrt(1 - t) |0,1>.
+sqrt(t) |1,0> - sqrt(1 - t) |0,1>. On a linear-optical mode matrix, whose
+column j holds where a photon entering mode j ends up, the same element
+mixes the rows of its pair (``_mix_rows``).
 
 The beamsplitter conserves the total photon number S, so its Fock-basis
 unitary is a direct sum of blocks on |n, S-n>, n = 0..S: exp(theta G) with
@@ -51,9 +53,21 @@ class BeamsplitterSpec:
             raise ValueError(f"mode pair {pair} must be two distinct indices")
         object.__setattr__(self, "mode_pair", pair)
 
-    def inverted(self) -> "BeamsplitterSpec":
-        # the inverse rotation is the same coupling with the pair swapped
-        return BeamsplitterSpec(self.transmissivity, self.mode_pair[::-1])
+
+def _mix_rows(matrix: np.ndarray, spec: BeamsplitterSpec) -> None:
+    """Apply a beamsplitter to a linear-optical mode matrix, in place.
+
+    Column j of ``matrix`` holds where a photon entering mode j ends up, so
+    the beamsplitter mixes the rows of its pair: row a becomes
+    sqrt(t) row_a + sqrt(1 - t) row_b and row b becomes
+    sqrt(t) row_b - sqrt(1 - t) row_a, the one-photon sector of
+    ``apply_beamsplitter``.
+    """
+    a, b = spec.mode_pair
+    c, s = math.sqrt(spec.transmissivity), math.sqrt(1.0 - spec.transmissivity)
+    row_a, row_b = matrix[a].copy(), matrix[b].copy()
+    matrix[a] = c * row_a + s * row_b
+    matrix[b] = c * row_b - s * row_a
 
 
 @lru_cache(maxsize=512)
@@ -125,20 +139,6 @@ def apply_beamsplitter(state, spec: BeamsplitterSpec):
     out[rows] = sectors
     out = np.moveaxis(out.reshape(amps.shape), (0, 1), (i, j))
     return MultiModeState(mm.mode_cutoffs, out)
-
-
-def apply_nsplitter(state, inverse: bool = False):
-    """Divide mode 0 evenly over every mode of an N-mode state, or undo it.
-
-    Arm k = 1..N-1 peels off from arm k-1 with transmissivity
-    1/(N - k + 1), leaving amplitude alpha/sqrt(N) in every arm.
-    """
-    mm = _pure(state)
-    n = mm.n_modes
-    for k in range(n - 1, 0, -1) if inverse else range(1, n):
-        spec = BeamsplitterSpec(1.0 / (n - k + 1), (k, k - 1))
-        mm = apply_beamsplitter(mm, spec.inverted() if inverse else spec)
-    return mm
 
 
 def loss_channel(state, epsilon: float, mode: int = 0) -> MultiModeState:

@@ -342,6 +342,12 @@ BAD_INPUTS = [
     "fig3 --sweep gain=1e200:1e200:1 --cutoff 4",  # 1 by traceback: OverflowError
     "amplify --alpha 1e200 --gamma 0.01 --cutoff 4",  # 1 by traceback: OverflowError
     "amplify --fock 5 --asymptotic --gain 1e150",  # 1, after a RuntimeWarning
+    "amplify --alpha 30 --cutoff 8",  # 0: zero amplitudes, nan fidelity
+    "amplify --alpha 40 --cutoff 4",  # 0: zero amplitudes, nan fidelity
+    "fig3 --sweep alpha=40:40:1 --cutoff 8",  # 1, after a TruncationWarning
+    "clone --alpha 1e154 --cutoff 4",  # 1, after a TruncationWarning
+    "amplify --alpha 1e150 --gamma 0.01 --arms 5 --cutoff 6",  # 1 by traceback: OverflowError
+    "amplify --alpha 1 --gain 1e100 --gamma 0.01 --arms 5 --cutoff 6",  # 1 by traceback: OverflowError
 ]
 
 

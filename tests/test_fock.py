@@ -23,14 +23,13 @@ from nlasim import (
     norm_sq,
     normalize,
     number_state,
-    pad_state,
     partial_trace,
     purity,
     purity_product,
     tensor,
     vacuum,
 )
-from conftest import random_density, random_fock, random_multimode
+from conftest import pad_state, random_density, random_fock, random_multimode
 
 
 class TestCoherentState:
@@ -45,6 +44,12 @@ class TestCoherentState:
             state = coherent_state(1.0, 2)
         tail = 1.0 - norm_sq(state)
         assert abs(tail - (1.0 - 2.0 * math.exp(-1.0))) < 1e-12
+
+    @pytest.mark.parametrize("alpha, cutoff", [(30, 8), (40, 4), (1e154, 4)])
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_kept_norm_raises_before_warning(self, alpha, cutoff):
+        with pytest.raises(ValueError, match="keeps no weight"):
+            coherent_state(alpha, cutoff)
 
     def test_direct_expansion_value(self):
         state = coherent_state(0.5, 20)
@@ -257,8 +262,6 @@ class TestInvariantsAndPlumbing:
             tensor(bad, vacuum(2))
         with pytest.raises(TypeError):
             tensor(vacuum(2), bad)
-        with pytest.raises(TypeError):
-            pad_state(bad, (3,))
         with pytest.raises(TypeError):
             apply_beamsplitter(bad, BeamsplitterSpec(0.5, (0, 1)))
         with pytest.raises(TypeError):

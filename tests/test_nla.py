@@ -178,6 +178,11 @@ class TestMisfire:
         assert values[0] > values[1] > values[2]
         assert values[0] > 0.99
 
+    @pytest.mark.parametrize("alpha, eta", [(1e150, 1.0 / 3.0), (1.0, 1e-200)])
+    def test_overflowing_powers_raise(self, alpha, eta):
+        with pytest.raises(ValueError, match="no finite powers"):
+            misfire_terms(alpha, 5, eta, 0.01, cutoff=6)
+
     def test_large_gamma_warns(self):
         with pytest.warns(UserWarning):
             misfire_density(0.3, 2, 0.3, 0.2)

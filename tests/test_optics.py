@@ -13,7 +13,6 @@ from nlasim import (
     TruncationWarning,
     annihilation,
     apply_beamsplitter,
-    apply_nsplitter,
     coherent_state,
     density_from_state,
     epr_state,
@@ -25,8 +24,8 @@ from nlasim import (
     tensor,
     vacuum,
 )
-from nlasim.optics import _sector_block
-from conftest import random_fock, random_multimode
+from nlasim.optics import _mix_rows, _sector_block
+from conftest import even_splitter, random_fock, random_multimode
 
 
 def expm_beamsplitter(t, ci, cj):
@@ -104,7 +103,8 @@ class TestSectorBlocks:
         amps[n, sector - n] = live[0] + 1j * live[1]
         state = MultiModeState(amps.shape, amps / np.linalg.norm(amps))
         spec = BeamsplitterSpec(t, (0, 1))
-        back = apply_beamsplitter(apply_beamsplitter(state, spec), spec.inverted())
+        inverse = BeamsplitterSpec(t, (1, 0))
+        back = apply_beamsplitter(apply_beamsplitter(state, spec), inverse)
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-13
 
     def test_balanced_split_against_vacuum_is_mirror_symmetric(self, rng):
@@ -193,29 +193,29 @@ class TestBeamsplitter:
             BeamsplitterSpec(0.5, (1, 1))
 
 
-def _nsplitter_mode_map(arms: int) -> np.ndarray:
-    """N x N amplitude map of the even splitter, read off its one-photon
-    sector: column j is the output of one photon entering arm j."""
-    u = np.zeros((arms, arms))
-    for j in range(arms):
-        state = number_state(int(j == 0), 2)
-        for i in range(1, arms):
-            state = tensor(state, number_state(int(i == j), 2))
-        out = apply_nsplitter(state).amplitudes
-        for i in range(arms):
-            u[i, j] = out[tuple(int(k == i) for k in range(arms))].real
+def _one_photon_map(transform, modes: int) -> np.ndarray:
+    """modes x modes amplitude map of a linear-optical transform, read off
+    its one-photon sector: column j is the output of one photon entering
+    mode j."""
+    u = np.zeros((modes, modes))
+    for j in range(modes):
+        photon = np.zeros((2,) * modes)
+        photon[tuple(int(k == j) for k in range(modes))] = 1.0
+        out = transform(MultiModeState((2,) * modes, photon)).amplitudes
+        for i in range(modes):
+            u[i, j] = out[tuple(int(k == i) for k in range(modes))].real
     return u
 
 
 class TestNsplitter:
     def test_single_arm_is_identity(self, rng):
         state = random_multimode(rng, (5,))
-        out = apply_nsplitter(state)
+        out = even_splitter(state)
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     @pytest.mark.parametrize("arms", [2, 3, 4, 5])
     def test_uniform_first_column(self, arms):
-        u = _nsplitter_mode_map(arms)
+        u = _one_photon_map(even_splitter, arms)
         assert np.max(np.abs(u @ u.T - np.eye(arms))) < 1e-12
         assert np.max(np.abs(np.abs(u[:, 0]) ** 2 - 1.0 / arms)) < 1e-12
         # the canonical cascade keeps every arm amplitude positive
@@ -224,15 +224,26 @@ class TestNsplitter:
     def test_coherent_even_division(self):
         alpha, arms = 0.7, 3
         state = tensor(tensor(coherent_state(alpha), vacuum(13)), vacuum(13))
-        out = apply_nsplitter(state)
+        out = even_splitter(state)
         arm = coherent_state(alpha / math.sqrt(arms), 13)
         want = tensor(tensor(arm, arm), arm)
         assert fidelity(out, want) > 1.0 - 1e-10
 
     def test_forward_then_inverse(self, rng):
         state = random_multimode(rng, (3, 3, 3), max_total=2)
-        back = apply_nsplitter(apply_nsplitter(state), inverse=True)
+        back = even_splitter(even_splitter(state), inverse=True)
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+
+class TestModeMatrix:
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 0), (1, 0)])
+    def test_matches_one_photon_sector(self, rng, pair):
+        for t in rng.uniform(0.0, 1.0, size=10):
+            spec = BeamsplitterSpec(float(t), pair)
+            sector = _one_photon_map(lambda state: apply_beamsplitter(state, spec), 3)
+            matrix = np.eye(3)
+            _mix_rows(matrix, spec)
+            assert np.max(np.abs(matrix - sector)) < 1e-15
 
 
 def _loss_kraus(cutoff: int, epsilon: float) -> list:
