@@ -21,9 +21,7 @@ from .fock import (
     minimal_coherent_cutoff,
     minimal_epr_cutoff,
     norm_sq,
-    number_state,
     partial_trace,
-    tensor,
 )
 from .nla import (
     _gain_squared,
@@ -32,7 +30,7 @@ from .nla import (
     nla_apply,
     nla_apply_asymptotic,
 )
-from .optics import BeamsplitterSpec, apply_beamsplitter, loss_channel
+from .optics import loss_channel
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,8 @@ def lossy_epr(chi: float, epsilon: float, cutoff: int) -> DensityOperator:
     return partial_trace(loss_channel(epr_state(chi, cutoff), epsilon, mode=0), [2])
 
 
-#: Largest cutoff the automatic sizing will pick. The beamsplitter stays
-#: unitary at any cutoff; what grows is the purification of a distillation
+#: Largest cutoff the automatic sizing will pick. The loss is exact at any
+#: cutoff; what grows is the purification of a distillation
 #: point, cutoff**3 amplitudes (65 MB at cutoff 160), and its run time. The
 #: cap holds until a large-cutoff benchmark workload has measured that cost.
 AUTO_CUTOFF_CAP = 40
@@ -192,10 +190,9 @@ def clone_coherent(
     else:
         amplified = nla_apply(source, arm_count, eta)
         prob = norm_sq(amplified)
-    # vacuum first: this mode ordering hands +alpha to both outputs
-    pair = tensor(number_state(0, cutoff), amplified)
-    pair = apply_beamsplitter(pair, BeamsplitterSpec(0.5, (0, 1)))
-    return pair, prob
+    # the 50:50 split against vacuum is a loss of transmission 1/2: the
+    # mode and the environment appended after it both carry +alpha
+    return loss_channel(amplified, 0.5), prob
 
 
 def clone_fidelities(pair: MultiModeState, alpha: complex) -> tuple[float, float]:
@@ -224,11 +221,10 @@ def postselected_prior_variance(prior_variance: float, gain: float) -> float:
     return prior_variance / (1.0 - excess)
 
 
-#: Fewest accepted draws the Monte-Carlo check reports on. Its z-score
-#: treats the sample mean as normal with the sample standard error, which
-#: a handful of draws from this skewed distribution does not justify:
-#: about 0.35% of draws are accepted, so a budget of 1,000 keeps two to
-#: five and its z-score often fails by chance.
+#: Fewest accepted draws the Monte-Carlo check reports on. Its k accepted
+#: |alpha|**2 are exponential with mean d', so their sum is d'/2 times a
+#: chi-squared(2k) variable, mapped to z by the Wilson-Hilferty cube root.
+#: About 0.35% of draws are accepted: a budget of 1,000 keeps two to five.
 MIN_ACCEPTED_SAMPLES = 30
 
 

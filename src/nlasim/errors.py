@@ -5,8 +5,7 @@ class TruncationError(ValueError):
     """A cutoff is too small to hold the requested state or operation.
 
     Raised when an automatically sized cutoff cannot be found or would
-    pass its cap, or when a beamsplitter would push photons past a mode
-    cutoff by more than the overflow tolerance, ``optics.OVERFLOW_TOL``.
+    pass its cap.
     """
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NonconvergentError
 from .fock import DensityOperator, MultiModeState, _pure, _squared_modulus, norm_sq
-from .optics import BeamsplitterSpec, _mix_rows
+from .optics import _mix_rows
 
 #: Largest arm count the brute-force circuit will simulate by default.
 ORACLE_ARM_LIMIT = 5
@@ -157,10 +157,10 @@ def _circuit_matrix(arm_count: int, eta: float) -> np.ndarray:
     n = arm_count
     u = np.eye(3 * n)
     for k in range(1, n):
-        _mix_rows(u, BeamsplitterSpec(1.0 / (n - k + 1), (k, k - 1)))
+        _mix_rows(u, 1.0 / (n - k + 1), k, k - 1)
     for arm in range(n):
-        _mix_rows(u, BeamsplitterSpec(eta, (n + arm, 2 * n + arm)))
-        _mix_rows(u, BeamsplitterSpec(0.5, (arm, 2 * n + arm)))
+        _mix_rows(u, eta, n + arm, 2 * n + arm)
+        _mix_rows(u, 0.5, arm, 2 * n + arm)
     return u
 
 
@@ -214,7 +214,7 @@ def _heralded_outputs(inp: MultiModeState, arm_count: int, eta: float) -> dict:
                 u[n + arm] *= -1.0
         # the inverse splitter on the kept modes
         for k in range(n - 1, 0, -1):
-            _mix_rows(u, BeamsplitterSpec(1.0 / (n - k + 1), (n + k - 1, n + k)))
+            _mix_rows(u, 1.0 / (n - k + 1), n + k - 1, n + k)
         clicked = [arm if sign == +1 else 2 * n + arm for arm, sign in enumerate(signs)]
         out = np.zeros(inp.mode_cutoffs[0], dtype=np.complex128)
         out[: top + 1] = amps[: top + 1] * _heralded_coefficients(u, clicked, top)

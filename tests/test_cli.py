@@ -143,6 +143,13 @@ class TestExitCodes:
         assert code == 0
         assert "oracle_equivalence,pass" in out
 
+    def test_verify_passes_where_a_normal_z_failed_by_chance(self, capsys):
+        # 66 accepted draws land 5.2 sample standard errors out; the exact
+        # chi-squared law of their sum puts them inside 3 sigma
+        code, out, _ = run_cli(["verify", "--samples", "20000", "--seed", "219"], capsys)
+        assert code == 0
+        assert "postselected_prior_mc,pass" in out
+
     def test_verify_detects_corrupted_operator(self, capsys, monkeypatch):
         # classic bookkeeping fault: per-pattern prefactor instead of the
         # pattern-summed one
@@ -196,8 +203,8 @@ class TestExitCodes:
         ]
         assert lines[2] == "oracle_equivalence_arms_7,skipped,nan,beyond oracle limit 5"
         assert lines[5] == (
-            "postselected_prior_mc,pass,2.51141474313,estimate 0.588816 vs "
-            "expected 0.428571 (73 accepted; z = 2.51)"
+            "postselected_prior_mc,pass,2.90196099238,estimate 0.588816 vs "
+            "expected 0.428571 (73 accepted; chi-squared z = 2.9)"
         )
         assert lines[6] == (
             "nonconvergence_guards,pass,0,guards fire exactly at the "

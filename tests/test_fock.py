@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlasim import (
-    BeamsplitterSpec,
     DensityOperator,
     MultiModeState,
     TruncationWarning,
     annihilation,
-    apply_beamsplitter,
     coherent_state,
     density_from_state,
     epr_state,
@@ -262,8 +260,6 @@ class TestInvariantsAndPlumbing:
             tensor(bad, vacuum(2))
         with pytest.raises(TypeError):
             tensor(vacuum(2), bad)
-        with pytest.raises(TypeError):
-            apply_beamsplitter(bad, BeamsplitterSpec(0.5, (0, 1)))
         with pytest.raises(TypeError):
             nla_apply(bad, 1, 0.5)
         with pytest.raises(TypeError):

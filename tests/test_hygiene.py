@@ -1,8 +1,10 @@
 """Import hygiene of the package sources: no module imports a name it never
-uses, the package exports exactly what its ``__init__`` imports, and no
-private helper or module constant is left with no reader."""
+uses or a package beyond the standard library and numpy, the package exports
+exactly what its ``__init__`` imports, and no private helper or module
+constant is left with no reader."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +43,22 @@ def test_no_unused_import(path):
     used.update(_exported(tree))
     unused = [name for name in _imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_runtime_needs_only_numpy(path):
+    # pyproject.toml promises a numpy-only runtime; scipy is for the tests
+    allowed = set(sys.stdlib_module_names) | {"numpy", "nlasim"}
+    foreign = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        foreign += [m for m in modules if m.split(".")[0] not in allowed]
+    assert not foreign, f"{path.name} imports {foreign}"
 
 
 def test_all_lists_exactly_the_imports():

@@ -2,17 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from nlasim import (
-    BeamsplitterSpec,
     MultiModeState,
     TruncationError,
     TruncationWarning,
-    annihilation,
-    apply_beamsplitter,
     coherent_state,
     density_from_state,
     epr_state,
@@ -24,173 +18,125 @@ from nlasim import (
     tensor,
     vacuum,
 )
-from nlasim.optics import _mix_rows, _sector_block
-from conftest import even_splitter, random_fock, random_multimode
+from nlasim.optics import _mix_rows
+from conftest import beamsplitter, even_splitter, random_fock, random_multimode
 
 
-def expm_beamsplitter(t, ci, cj):
-    """Independent route to the same unitary: expm of the mode-mixing
-    generator theta * (a+ b - a b+)."""
-    a = np.kron(annihilation(ci), np.eye(cj))
-    b = np.kron(np.eye(ci), annihilation(cj))
-    gen = a.conj().T @ b - a @ b.conj().T
-    return expm(math.acos(math.sqrt(t)) * gen)
+class TestBeamsplitter:
+    """The loss is the library's one Fock-space beamsplitter, against a
+    vacuum environment; the tests' expm route is its reference."""
+
+    def test_identity_at_full_transmission(self, rng):
+        state = random_multimode(rng, (4, 4))
+        out = loss_channel(state, 1.0, 1)
+        assert np.array_equal(out.amplitudes, tensor(state, vacuum(4)).amplitudes)
+
+    def test_single_photon_balanced(self):
+        # the reference carries the repo-wide sign convention ...
+        out = beamsplitter(tensor(number_state(1, 2), vacuum(2)), 0.5, (0, 1))
+        want = np.zeros((2, 2))
+        want[1, 0] = 1.0 / math.sqrt(2.0)
+        want[0, 1] = -1.0 / math.sqrt(2.0)
+        assert np.max(np.abs(out.amplitudes - want)) < 1e-15
+        # ... and the loss, ordered (environment, system), keeps both positive
+        out = loss_channel(number_state(1, 2), 0.5)
+        assert np.max(np.abs(out.amplitudes - np.abs(want))) < 1e-15
+
+    def test_displacement_covariance(self):
+        # coherent in, coherent out: the mode keeps sqrt(eps) alpha and the
+        # environment takes sqrt(1 - eps) alpha
+        alpha, eps = 0.5 + 0.1j, 0.3
+        out = loss_channel(coherent_state(alpha, 12), eps)
+        want = tensor(
+            coherent_state(math.sqrt(eps) * alpha, 12),
+            coherent_state(math.sqrt(1 - eps) * alpha, 12),
+        )
+        assert fidelity(out, want) > 1.0 - 1e-10
+
+    def test_split_coherent_product_check(self):
+        # the cloning split: sqrt(2) alpha at transmission 1/2 gives alpha twice
+        alpha = 0.3
+        out = loss_channel(coherent_state(math.sqrt(2) * alpha, 12), 0.5)
+        want = tensor(coherent_state(alpha, 12), coherent_state(alpha, 12))
+        assert fidelity(out, want) > 1.0 - 1e-10
+
+    @pytest.mark.parametrize("t", [0.0, 0.21, 0.5, 0.77, 1.0])
+    def test_against_expm_oracle(self, rng, t):
+        for _ in range(10):
+            n_modes = int(rng.integers(1, 4))
+            cutoffs = tuple(int(c) for c in rng.integers(1, 6, size=n_modes))
+            state = random_multimode(rng, cutoffs)
+            for mode in range(n_modes):
+                joint = tensor(state, vacuum(cutoffs[mode]))
+                want = beamsplitter(joint, t, (n_modes, mode)).amplitudes
+                out = loss_channel(state, t, mode).amplitudes
+                assert np.max(np.abs(out - want)) < 1e-12, (cutoffs, mode)
+
+    def test_norm_and_sector_preservation(self, rng):
+        # input photon number n of the lossy mode ends up split between the
+        # mode and the environment, n in total
+        state = random_multimode(rng, (6, 3))
+        out = loss_channel(state, 0.37, 0)
+        assert abs(norm_sq(out) - norm_sq(state)) < 1e-12
+        grid = np.add.outer(np.arange(6), np.arange(6))
+        lost = np.moveaxis(out.amplitudes, 2, 1)  # (mode, environment, other)
+        for n in range(6):
+            before = float(np.sum(np.abs(state.amplitudes[n]) ** 2))
+            after = float(np.sum(np.abs(lost[grid == n]) ** 2))
+            assert abs(before - after) < 1e-12
+
+    def test_photon_overflow_raises(self):
+        # the reference refuses sectors its truncated generator gets wrong
+        state = tensor(number_state(2, 3), number_state(2, 3))
+        with pytest.raises(TruncationError):
+            beamsplitter(state, 0.5, (0, 1))
+
+    def test_mode_validation(self, rng):
+        state = random_multimode(rng, (3, 3))
+        for mode in (-1, 2):
+            with pytest.raises(ValueError):
+                loss_channel(state, 0.5, mode)
+        for eps in (-0.1, 1.2):
+            with pytest.raises(ValueError):
+                loss_channel(state, eps, 0)
 
 
-def binomial_block(t, sector):
-    """Reference sector block by direct expansion of
-    (c a+ - s b+)**n (s a+ + c b+)**(S-n) in powers of a+. The alternating
-    signs cancel more digits as S grows, so it serves only up to S = 30."""
-    c = math.sqrt(t)
-    s = math.sqrt(1.0 - t)
-    size = sector + 1
-    block = np.zeros((size, size))
-    fact = [math.factorial(k) for k in range(size)]
-    for n in range(size):
-        m = sector - n
-        p = np.array([math.comb(n, i) * c**i * (-s) ** (n - i) for i in range(n + 1)])
-        q = np.array([math.comb(m, k) * s**k * c ** (m - k) for k in range(m + 1)])
-        coeffs = np.convolve(p, q)
-        for j in range(size):
-            block[j, n] = coeffs[j] * math.sqrt(
-                fact[j] * fact[sector - j] / (fact[n] * fact[m])
-            )
-    return block
-
-
-def angle(t):
-    """Mixing angle arccos(sqrt(t)), computed as the blocks compute it."""
-    return math.atan2(math.sqrt(1.0 - t), math.sqrt(t))
-
-
-class TestSectorBlocks:
-    def test_matches_binomial_expansion(self):
-        for sector in range(31):
-            for t in np.linspace(0.0, 1.0, 21):
-                diff = _sector_block(float(t), sector) - binomial_block(t, sector)
-                assert np.max(np.abs(diff)) <= 1e-12, (sector, t)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        sector=st.integers(0, 400),
-        t1=st.floats(0.0, 1.0),
-        t2=st.floats(0.0, 1.0),
-    )
-    def test_unitary_and_composing(self, sector, t1, t2):
-        b1, b2 = _sector_block(t1, sector), _sector_block(t2, sector)
-        assert np.max(np.abs(b1 @ b1.T - np.eye(sector + 1))) <= 1e-13
-        theta = angle(t1) + angle(t2)
-        assume(theta <= math.pi / 2)
-        # rounding t3 moves the angle slightly; the block moves by at most
-        # S times that, since the generator's eigenvalues lie in [-S, S]
-        t3 = math.cos(theta) ** 2
-        slip = sector * abs(theta - angle(t3))
-        diff = b1 @ b2 - _sector_block(t3, sector)
-        assert np.max(np.abs(diff)) <= 1e-13 + slip
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        sector=st.integers(1, 120),
-        t=st.floats(0.0, 1.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_inverted_spec_undoes(self, sector, t, seed):
-        # a random state on |n, S-n> at cutoffs (S+1, S+1)
-        rng = np.random.default_rng(seed)
-        n = np.arange(sector + 1)
-        amps = np.zeros((sector + 1, sector + 1), dtype=np.complex128)
-        live = rng.normal(size=(2, sector + 1))
-        amps[n, sector - n] = live[0] + 1j * live[1]
-        state = MultiModeState(amps.shape, amps / np.linalg.norm(amps))
-        spec = BeamsplitterSpec(t, (0, 1))
-        inverse = BeamsplitterSpec(t, (1, 0))
-        back = apply_beamsplitter(apply_beamsplitter(state, spec), inverse)
-        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-13
-
-    def test_balanced_split_against_vacuum_is_mirror_symmetric(self, rng):
-        # both clones of a 50:50 split must agree to the last bit
-        for cutoff in (5, 17, 40):
-            state = tensor(vacuum(cutoff), random_fock(rng, cutoff))
-            out = apply_beamsplitter(state, BeamsplitterSpec(0.5, (0, 1)))
-            assert np.array_equal(out.amplitudes, out.amplitudes.T)
-
+class TestLossAtLargeCutoff:
     @pytest.mark.parametrize("n, cutoff, t", [(40, 81, 0.5), (30, 61, 0.3)])
     def test_high_sector_keeps_norm(self, n, cutoff, t):
         amps = np.zeros((cutoff, cutoff), dtype=np.complex128)
         amps[n, n] = 1.0 / math.sqrt(2.0)
         state = MultiModeState((cutoff, cutoff), amps)
-        out = apply_beamsplitter(state, BeamsplitterSpec(t, (0, 1)))
+        out = loss_channel(state, t, 0)
         assert abs(norm_sq(out) - 0.5) <= 0.5e-12
 
+    def test_trace_at_cutoff_160(self):
+        source = epr_state(0.6, 160)
+        out = loss_channel(source, 0.3)
+        assert abs(norm_sq(out) - norm_sq(source)) <= 1e-12
 
-class TestBeamsplitter:
-    def test_identity_at_full_transmission(self, rng):
-        state = random_multimode(rng, (4, 4))
-        out = apply_beamsplitter(state, BeamsplitterSpec(1.0, (0, 1)))
-        assert np.allclose(out.amplitudes, state.amplitudes)
+    def test_amplitudes_match_log_space(self, rng):
+        chi, eps, cutoff = 0.6, 0.3, 160
+        out = loss_channel(epr_state(chi, cutoff), eps).amplitudes
+        for n in rng.integers(0, cutoff, size=200):
+            n = int(n)
+            k = int(rng.integers(0, n + 1))
+            log_want = (
+                0.5 * math.log(1 - chi**2)
+                + n * math.log(chi)
+                + 0.5 * (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
+                + 0.5 * k * math.log(1 - eps)
+                + 0.5 * (n - k) * math.log(eps)
+            )
+            got = out[n - k, n, k]
+            assert got.imag == 0.0
+            assert abs(got.real / math.exp(log_want) - 1.0) <= 1e-12, (n, k)
 
-    def test_single_photon_balanced(self):
-        state = tensor(number_state(1, 2), vacuum(2))
-        out = apply_beamsplitter(state, BeamsplitterSpec(0.5, (0, 1)))
-        want = np.zeros((2, 2))
-        want[1, 0] = 1.0 / math.sqrt(2.0)
-        want[0, 1] = -1.0 / math.sqrt(2.0)
-        assert np.max(np.abs(out.amplitudes - want)) < 1e-15
-
-    def test_displacement_covariance(self):
-        # coherent in, coherent out with the fixed sign convention
-        alpha, t = 0.5 + 0.1j, 0.3
-        state = tensor(coherent_state(alpha, 12), coherent_state(0.0, 12))
-        out = apply_beamsplitter(state, BeamsplitterSpec(t, (0, 1)))
-        want = tensor(
-            coherent_state(math.sqrt(t) * alpha, 12),
-            coherent_state(-math.sqrt(1 - t) * alpha, 12),
-        )
-        assert fidelity(out, want) > 1.0 - 1e-10
-
-    def test_split_coherent_product_check(self):
-        # duplicate of the tensor example: splitting sqrt(2) alpha balances
-        alpha = 0.3
-        state = tensor(coherent_state(math.sqrt(2) * alpha, 12), vacuum(12))
-        out = apply_beamsplitter(state, BeamsplitterSpec(0.5, (0, 1)))
-        want = tensor(coherent_state(alpha, 12), coherent_state(-alpha, 12))
-        assert fidelity(out, want) > 1.0 - 1e-10
-
-    @pytest.mark.parametrize("t", [0.0, 0.21, 0.5, 0.77])
-    def test_against_expm_oracle(self, rng, t):
-        ci = cj = 9
-        amps = np.zeros((ci, cj), dtype=np.complex128)
-        amps[:4, :4] = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        amps /= np.linalg.norm(amps)
-        state = MultiModeState((ci, cj), amps)
-        out = apply_beamsplitter(state, BeamsplitterSpec(t, (0, 1)))
-        want = (expm_beamsplitter(t, ci, cj) @ amps.reshape(-1)).reshape(ci, cj)
-        assert np.max(np.abs(out.amplitudes - want)) < 1e-12
-
-    def test_norm_and_sector_preservation(self, rng):
-        state = random_multimode(rng, (6, 6), max_total=5)
-        out = apply_beamsplitter(state, BeamsplitterSpec(0.37, (0, 1)))
-        assert abs(norm_sq(out) - norm_sq(state)) < 1e-12
-        grid = np.add.outer(np.arange(6), np.arange(6))
-        for sector in range(6):
-            mask = grid == sector
-            before = float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
-            after = float(np.sum(np.abs(out.amplitudes[mask]) ** 2))
-            assert abs(before - after) < 1e-12
-
-    def test_photon_overflow_raises(self):
-        state = tensor(number_state(2, 3), number_state(2, 3))
-        with pytest.raises(TruncationError):
-            apply_beamsplitter(state, BeamsplitterSpec(0.5, (0, 1)))
-
-    def test_mode_validation(self, rng):
-        state = random_multimode(rng, (3, 3))
-        with pytest.raises(ValueError):
-            apply_beamsplitter(state, BeamsplitterSpec(0.5, (0, 2)))
-        with pytest.raises(ValueError):
-            BeamsplitterSpec(1.2, (0, 1))
-        with pytest.raises(ValueError):
-            BeamsplitterSpec(0.5, (1, 1))
+    def test_balanced_split_against_vacuum_is_mirror_symmetric(self, rng):
+        # both clones of a 50:50 split must agree to the last bit
+        for cutoff in (5, 17, 40, 160):
+            out = loss_channel(random_fock(rng, cutoff), 0.5)
+            assert np.array_equal(out.amplitudes, out.amplitudes.T), cutoff
 
 
 def _one_photon_map(transform, modes: int) -> np.ndarray:
@@ -239,10 +185,10 @@ class TestModeMatrix:
     @pytest.mark.parametrize("pair", [(0, 2), (2, 0), (1, 0)])
     def test_matches_one_photon_sector(self, rng, pair):
         for t in rng.uniform(0.0, 1.0, size=10):
-            spec = BeamsplitterSpec(float(t), pair)
-            sector = _one_photon_map(lambda state: apply_beamsplitter(state, spec), 3)
+            t = float(t)
+            sector = _one_photon_map(lambda state: beamsplitter(state, t, pair), 3)
             matrix = np.eye(3)
-            _mix_rows(matrix, spec)
+            _mix_rows(matrix, t, *pair)
             assert np.max(np.abs(matrix - sector)) < 1e-15
 
 

@@ -21,14 +21,13 @@ from nlasim import (
     vacuum,
 )
 from nlasim.nla import ORACLE_ARM_LIMIT, _heralded_outputs
-from nlasim.optics import BeamsplitterSpec, apply_beamsplitter
 from nlasim.verification import (
     ORACLE_FIDELITY_TOL,
     ORACLE_PROB_TOL,
     oracle_equivalence_report,
     random_support_state,
 )
-from conftest import even_splitter, pad_state, project_number
+from conftest import beamsplitter, even_splitter, pad_state, project_number
 
 
 def flip_odd(state: MultiModeState, mode: int) -> MultiModeState:
@@ -69,13 +68,13 @@ def reference_pattern(
         state = tensor(state, number_state(0, 2))   # kept output mode o
         state = tensor(state, number_state(1, 2))   # mixing mode m
         o_idx, m_idx = n, n + 1
-        state = apply_beamsplitter(state, BeamsplitterSpec(eta, (o_idx, m_idx)))
+        state = beamsplitter(state, eta, (o_idx, m_idx))
         # 50:50 mix of the arm with m, then count both ports
         room = list(state.mode_cutoffs)
         room[arm] = support + 2
         room[m_idx] = support + 2
         state = pad_state(state, room)
-        state = apply_beamsplitter(state, BeamsplitterSpec(0.5, (arm, m_idx)))
+        state = beamsplitter(state, 0.5, (arm, m_idx))
         clicks = (1, 0) if signs[arm] == +1 else (0, 1)
         state = project_number(state, m_idx, clicks[1])
         state = project_number(state, arm, clicks[0])
@@ -192,12 +191,13 @@ class TestPatternBookkeeping:
 
     @pytest.mark.parametrize("arms", range(1, ORACLE_ARM_LIMIT + 1))
     def test_runs_without_fock_beamsplitters(self, monkeypatch, rng, arms):
-        # the oracle shares only the sign convention with apply_beamsplitter
+        # the oracle shares only the sign convention with nlasim.optics; its
+        # one Fock-space element, the loss, must not run
         def refuse(*args, **kwargs):
-            raise AssertionError("the circuit oracle applied a Fock beamsplitter")
+            raise AssertionError("the circuit oracle applied a Fock-space element")
 
-        monkeypatch.setattr(nlasim.optics, "apply_beamsplitter", refuse)
-        monkeypatch.setattr(nlasim.nla, "apply_beamsplitter", refuse, raising=False)
+        monkeypatch.setattr(nlasim.optics, "loss_channel", refuse)
+        monkeypatch.setattr(nlasim.nla, "loss_channel", refuse, raising=False)
         state = random_support_state(rng, arms + 1, arms)
         circuit_out = physical_circuit(state, arms, 0.3)
         fast_out = nla_apply(state, arms, 0.3)
