@@ -101,6 +101,13 @@ def _cap_auto_cutoff(cutoff: int, remedy: str) -> int:
     return cutoff
 
 
+#: Largest loss purification a distillation point may allocate, in bytes.
+#: The purification holds 16 * cutoff**3 bytes and a run peaks at about
+#: eight times that: cutoff 160 (62.5 MiB) peaks at 534 MB RSS. This limit
+#: admits cutoffs up to 161 and is checked before any state is built.
+MAX_PURIFICATION_BYTES = 64 * 2**20
+
+
 def _distill_cutoff(chi: float, chi_prime: float, arm_count: int | None) -> int:
     cutoff = minimal_epr_cutoff(chi)
     if chi_prime < 1.0:
@@ -141,6 +148,14 @@ def distill_numeric(
     if cutoff is None:
         cutoff = _distill_cutoff(chi, params.chi_prime, arm_count)
 
+    size = 16 * cutoff**3
+    if size > MAX_PURIFICATION_BYTES:
+        raise ValueError(
+            f"cutoff {cutoff} needs a {size / 2**20:.0f} MiB loss purification, "
+            f"above the {MAX_PURIFICATION_BYTES // 2**20} MiB limit; "
+            "use a cutoff of at most "
+            f"{int((MAX_PURIFICATION_BYTES // 16) ** (1 / 3))}"
+        )
     source = epr_state(chi, cutoff)
     purified = loss_channel(source, epsilon, mode=0)
     if arm_count is None:

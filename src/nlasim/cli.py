@@ -18,9 +18,10 @@ The parser owns only flag-level rules: exclusive flags, finite numbers
 (``nan`` and ``inf`` are rejected) and positive counts for ``--arms``,
 ``--cutoff`` and ``--samples``. Every other range is checked by the
 library. ``--sweep NAME=A:B:N`` is taken only by fig3
-(names gain, alpha) and fig4 (name gain). distill and clone reject
-``--arms`` together with ``--asymptotic``, since an ideal run has no arm
-count; amplify takes both, because there ``--arms`` sizes the cutoff.
+(names gain, alpha) and fig4 (name gain), each name at most once.
+distill and clone reject ``--arms`` together with ``--asymptotic``, since
+an ideal run has no arm count; amplify takes both, because there
+``--arms`` sizes the cutoff.
 
 Exit codes: 0 success, 1 configuration or output error, 2 invariant
 failure, 3 nonconvergent-regime request. A configuration error is any
@@ -28,6 +29,10 @@ rejected or out-of-range value, or an ``--out`` path that cannot be
 opened, and is reported as one line on stderr. A write to stdout or
 ``--out`` that fails is an output error, also one line on stderr, except
 a stdout pipe whose reader has gone, which exits 1 silently.
+
+``main(argv)`` may be called any number of times in one process. Every
+call shares the one parser built when this module is imported; no parse
+leaves state on it.
 """
 
 from __future__ import annotations
@@ -121,8 +126,14 @@ def _sweep_type(names):
 
 
 def _sweep_kwargs(args) -> dict:
-    """Swept values as table-builder keyword arguments (gain -> gains)."""
-    return {f"{name}s": values for name, values in args.sweep}
+    """Swept values as table-builder keyword arguments (gain -> gains);
+    a name swept twice is rejected, not overwritten."""
+    kwargs = {}
+    for name, values in args.sweep:
+        if f"{name}s" in kwargs:
+            raise ConfigError(f"--sweep {name} given more than once")
+        kwargs[f"{name}s"] = values
+    return kwargs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,6 +291,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# argparse keeps no parse state on the parser: each call's values live in
+# its own Namespace, and the append actions copy their defaults first
+_PARSER = _build_parser()
+
+
 def _header_config(args, params: dict) -> dict:
     cfg = {"subcommand": args.subcommand, "format": args.format}
     cfg.update((k, _jsonable(v)) for k, v in params.items())
@@ -338,7 +354,7 @@ def _silence_stdout():
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         params, result = args.run(args)
         config = _header_config(args, params)
         handle = (

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ class TestDistillNumeric:
         with pytest.warns(TruncationWarning):
             rho, _ = distill_numeric(0.9, 1.0, 1, 0.55, cutoff=30)
         assert rho.trace > 0.0
+
+    @pytest.mark.parametrize("arms", [None, 2])
+    def test_oversized_explicit_cutoff_refused_before_allocating(self, arms):
+        # 16 * 162**3 bytes is just past the limit; 1000 would be 15 GiB
+        for cutoff in (162, 1000):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="loss purification"):
+                    distill_numeric(0.3, 0.5, arms, gain=1.5, cutoff=cutoff)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
 
 class TestPurityProduct:

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -355,6 +357,10 @@ BAD_INPUTS = [
     "clone --alpha 1e154 --cutoff 4",  # 1, after a TruncationWarning
     "amplify --alpha 1e150 --gamma 0.01 --arms 5 --cutoff 6",  # 1 by traceback: OverflowError
     "amplify --alpha 1 --gain 1e100 --gamma 0.01 --arms 5 --cutoff 6",  # 1 by traceback: OverflowError
+    "fig3 --arms 2 --sweep gain=1:2:3 --sweep gain=1:3:2 --sweep alpha=0.3:0.3:1",  # 0: first gain sweep ignored
+    "fig4 --arms 1 --cutoff 8 --sweep gain=1:2:3 --sweep gain=1.5:1.5:1",  # 0: first gain sweep ignored
+    "distill --chi 0.3 --cutoff 1000",  # a 15 GiB purification, not run
+    "fig4 --cutoff 1000",  # a 15 GiB purification, not run
 ]
 
 
@@ -419,22 +425,87 @@ GOLDEN = {
     "distill_asymptotic": "distill --chi 0.2 --loss 0.5 --asymptotic --gain 1.5",
     "amplify_fock_asymptotic": "amplify --fock 2 --arms 3 --asymptotic",
 }
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_csv_output_matches_golden_file(name, capsys):
     code, out, _ = run_cli(GOLDEN[name].split(), capsys)
     assert code == 0
-    golden = Path(__file__).parent / "golden" / f"{name}.csv"
-    assert out.encode("utf-8") == golden.read_bytes()
+    assert out.encode("utf-8") == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_json_output_matches_golden_file(name, capsys):
     code, out, _ = run_cli(GOLDEN[name].split() + ["--format", "json"], capsys)
     assert code == 0
-    golden = Path(__file__).parent / "golden" / f"{name}.json"
-    assert out.encode("utf-8") == golden.read_bytes()
+    assert out.encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    # the parser is built once, when nlasim.cli is imported
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (GOLDEN["amplify_alpha"], "fig3 --sweep gain=oops", GOLDEN["clone"]):
+        main(argv.split())
+    capsys.readouterr()
+    assert built == []
+
+
+# argv that fail part-way through the parse, after the parser has started
+# filling in a Namespace
+MID_PARSE_FAILURES = [
+    "amplify --alpha 0.1 --fock 1",
+    "distill --asymptotic --arms 2",
+    "fig3 --sweep gain=oops",
+    "clone --arms 0",
+]
+
+
+def test_runs_in_one_process_leave_no_parse_state(capsys):
+    # every golden run, in both formats, each after a failed parse
+    failures = itertools.cycle(MID_PARSE_FAILURES)
+    for name in sorted(GOLDEN):
+        for fmt in ("csv", "json"):
+            failure = next(failures)
+            code, out, err = run_cli(failure.split(), capsys)
+            assert (code, out) == (1, ""), failure
+            assert len(err.splitlines()) == 1, failure
+            assert err.startswith("nlasim: configuration error:"), failure
+            code, out, _ = run_cli(GOLDEN[name].split() + ["--format", fmt], capsys)
+            assert code == 0
+            assert out.encode("utf-8") == (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
+    # a repeated append flag leaves the next run at its default etas
+    code, out, _ = run_cli("fig3 --eta 0.3 --eta 0.2".split(), capsys)
+    assert code == 0
+    assert '"etas": [0.3, 0.2]' in out
+    code, out, _ = run_cli(["fig3"], capsys)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN_DIR / "fig3.csv").read_bytes()
+
+
+SUBCOMMANDS = ["amplify", "fig3", "fig4", "distill", "clone", "verify"]
+
+
+@pytest.mark.parametrize("sub", [None] + SUBCOMMANDS)
+def test_entry_point_help(sub):
+    # the parser is built at import, so a fault in it breaks every command
+    argv = ["--help"] if sub is None else [sub, "--help"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlasim", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    usage = "usage: nlasim" if sub is None else f"usage: nlasim {sub}"
+    assert proc.stdout.startswith(usage)
 
 
 def _run_captured(argv):
