@@ -142,20 +142,30 @@ def vacuum(cutoff: int = 1) -> MultiModeState:
     return number_state(0, cutoff)
 
 
+def _poisson_kept(mu: float, cutoff: int | None = None) -> tuple[int, float]:
+    """Mass a coherent state of squared modulus ``mu`` keeps on its first
+    ``cutoff`` levels, as the running sum of exp(-mu) mu**n / n!.
+
+    With ``cutoff=None`` the cutoff is the smallest whose dropped tail is
+    below ``DEFAULT_TAIL_TOL``. This is the one measure of a coherent tail,
+    so a cutoff it picks never reads as truncated. Returns (cutoff, kept).
+    """
+    term = math.exp(-mu)
+    kept = term
+    n = 0
+    while (1.0 - kept >= DEFAULT_TAIL_TOL) if cutoff is None else (n + 1 < cutoff):
+        n += 1
+        term *= mu / n
+        kept += term
+        if cutoff is None and n > 10_000:
+            raise TruncationError("coherent tail does not reach the tolerance")
+    return n + 1, kept
+
+
 def minimal_coherent_cutoff(alpha: complex) -> int:
     """Smallest cutoff keeping the dropped Poisson tail below
     ``DEFAULT_TAIL_TOL``."""
-    mu = _squared_modulus(alpha, "amplitude")
-    term = math.exp(-mu)
-    cum = term
-    n = 0
-    while 1.0 - cum >= DEFAULT_TAIL_TOL:
-        n += 1
-        term *= mu / n
-        cum += term
-        if n > 10_000:
-            raise TruncationError("coherent tail does not reach the tolerance")
-    return n + 1
+    return _poisson_kept(_squared_modulus(alpha, "amplitude"))[0]
 
 
 def coherent_state(alpha: complex, cutoff: int | None = None) -> MultiModeState:
@@ -165,26 +175,27 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> MultiModeState:
 
     With ``cutoff=None`` the basis is sized so the dropped tail mass stays
     below ``DEFAULT_TAIL_TOL``. A vector that still drops that much comes
-    back unnormalized with a ``TruncationWarning``; one whose kept squared
-    norm underflows to 0 raises ``ValueError``, as does an ``alpha`` whose
-    squared modulus is not finite.
+    back unnormalized with a ``TruncationWarning``; one whose kept Poisson
+    mass underflows to 0 raises ``ValueError``, as does an ``alpha`` whose
+    squared modulus is not finite. The tail is measured as
+    ``minimal_coherent_cutoff`` measures it, so no cutoff chosen by the
+    library warns.
     """
     alpha = complex(alpha)
     mu = _squared_modulus(alpha, "amplitude")
-    if cutoff is None:
-        cutoff = minimal_coherent_cutoff(alpha)
-    if cutoff < 1:
+    if cutoff is not None and cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    amps = np.empty(cutoff, dtype=np.complex128)
-    amps[0] = math.exp(-mu / 2.0)
-    for n in range(1, cutoff):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    kept = float(np.vdot(amps, amps).real)
+    cutoff, kept = _poisson_kept(mu, cutoff)
     if kept == 0.0:
         raise ValueError(
             f"coherent state of amplitude {abs(alpha):.6g} keeps no weight "
             f"within cutoff {cutoff}"
         )
+    amps = np.empty(cutoff, dtype=np.complex128)
+    amps[0] = math.exp(-mu / 2.0)
+    amp = amps[0]
+    for n in range(1, cutoff):
+        amp = amps[n] = amp * alpha / math.sqrt(n)
     tail = max(0.0, 1.0 - kept)
     if tail >= DEFAULT_TAIL_TOL:
         warnings.warn(

@@ -16,8 +16,10 @@ success probability.
 ``physical_circuit`` re-derives all of this from the circuit itself:
 beamsplitters, single-photon ancillas and projective detection; it is the
 oracle the closed form is tested against. The circuit is linear optics, so
-it is one 3N x 3N mode matrix per click pattern, and each heralded
-amplitude is a permanent of a submatrix of it (Scheel, quant-ph/0406127).
+it is one 3N x 3N mode matrix, and each heralded amplitude is a permanent
+of a submatrix of it (Scheel, quant-ph/0406127). A click pattern only picks
+the clicked rows and the signs that form the kept output row, so all 2**N
+patterns are evaluated in one batched Ryser pass.
 """
 
 from __future__ import annotations
@@ -164,62 +166,72 @@ def _circuit_matrix(arm_count: int, eta: float) -> np.ndarray:
     return u
 
 
-def _heralded_coefficients(u: np.ndarray, clicked: list, top: int) -> np.ndarray:
-    """c_n = perm(A_n) / n! for n = 0..top, one pattern's map |n> -> c_n |n>.
-
-    A_n takes the rows [o_0]*n plus the ``clicked`` modes of the final mode
-    matrix ``u``, and the columns [arm 0]*n plus the ancillas. Ryser's
-    formula runs over the subsets of those columns; grouping the subsets
-    by how many copies of arm 0 they hold leaves (n+1) 2**N terms.
-    """
-    n_arms = len(clicked)
-    rows = u[[n_arms] + clicked]
-    subsets = (np.arange(2**n_arms)[:, None] >> np.arange(n_arms)) & 1
-    partial = subsets @ rows[:, 2 * n_arms :].T
-    parity = 1 - 2 * (subsets.sum(axis=1) % 2)
-    coeffs = np.empty(top + 1)
-    for n in range(top + 1):
-        copies = np.arange(n + 1)
-        sums = partial + copies[:, None, None] * rows[:, 0]
-        terms = sums[..., 0] ** n * np.prod(sums[..., 1:], axis=-1)
-        weights = np.array([(-1) ** k * math.comb(n, k) for k in copies])
-        perm = (-1) ** (n + n_arms) * np.sum(np.outer(weights, parity) * terms)
-        coeffs[n] = perm / math.factorial(n)
-    return coeffs
-
-
 def _heralded_outputs(inp: MultiModeState, arm_count: int, eta: float) -> dict:
     """Unnormalized output of every detector pattern, from permanents.
 
     ``signs[i] = +1`` heralds on one click at arm i's port and -1 on one
     at its ancilla port, the latter followed by the pi feed-forward on the
     kept mode. After the inverse splitter only the kept mode o_0 may hold
-    light, so photon number conservation makes each pattern diagonal. The
-    kept rows hold exact zeros in the arm columns, because only ancilla
-    light reaches them, so inputs above N photons go exactly dark and c_n
-    is computed up to min(support, N). Returns {signs: amplitudes}, padded
-    to the input cutoff, in ``itertools.product((+1, -1), repeat=N)`` order.
+    light, so photon number conservation makes each pattern diagonal,
+    |n> -> c_n |n> with c_n = perm(A_n) / n!. A_n takes the rows [o_0]*n
+    plus the clicked modes of the mode matrix, and the columns [arm 0]*n
+    plus the ancillas.
+
+    All 2**N patterns share one pass. The feed-forward and the inverse
+    splitter act on the kept rows alone, so the clicked rows are rows of
+    the circuit matrix and o_0 = sum_i w_i signs[i] kept_i, with w the
+    first row of the inverse splitter. The kept rows hold exact zeros in
+    the arm columns, because only ancilla light reaches them; so inputs
+    above N photons go exactly dark and c_n is computed up to
+    min(support, N). Ryser's formula then runs over the ancilla subsets S
+    and the number k of arm-0 copies taken with them. With r(S) a row's
+    sum over S and f_S(k) the product over the clicked rows of
+    r(S) + k r[arm 0], the binomial sum over k is the n-th forward
+    difference of f_S, which is n! b_n(S) when b_m(S) is the coefficient
+    of f_S on the falling factorial k (k-1) ... (k-m+1). So
+
+        c_n = (-1)**N sum_S (-1)**|S| o_0(S)**n b_n(S),
+
+    and the b_m(S) follow from one product per clicked row, with no
+    alternating binomial sum to lose digits. Returns {signs: amplitudes},
+    padded to the input cutoff, in ``itertools.product((+1, -1), repeat=N)``
+    order.
     """
     n = arm_count
     amps = inp.amplitudes
     live = np.flatnonzero(amps)
     top = min(int(live[-1]) if live.size else 0, n)
     detected = _circuit_matrix(n, eta)
-    outputs = {}
-    for signs in itertools.product((+1, -1), repeat=n):
-        u = detected.copy()
-        # the pi feed-forward after a -1 click negates the kept mode
-        for arm, sign in enumerate(signs):
-            if sign == -1:
-                u[n + arm] *= -1.0
-        # the inverse splitter on the kept modes
-        for k in range(n - 1, 0, -1):
-            _mix_rows(u, 1.0 / (n - k + 1), n + k - 1, n + k)
-        clicked = [arm if sign == +1 else 2 * n + arm for arm, sign in enumerate(signs)]
-        out = np.zeros(inp.mode_cutoffs[0], dtype=np.complex128)
-        out[: top + 1] = amps[: top + 1] * _heralded_coefficients(u, clicked, top)
-        outputs[signs] = out
-    return outputs
+    inverse = np.eye(n)
+    for k in range(n - 1, 0, -1):
+        _mix_rows(inverse, 1.0 / (n - k + 1), k - 1, k)
+    patterns = list(itertools.product((+1, -1), repeat=n))
+    signs = np.array(patterns, dtype=np.float64)
+    arms = np.arange(n)
+    subsets = ((np.arange(2**n)[:, None] >> arms) & 1).astype(np.float64)
+    # o_0(S) per pattern, and per arm and pattern the clicked row, whose
+    # arm-0 entry is the slope of its Ryser sum in k
+    o_sums = (signs * inverse[0]) @ detected[n : 2 * n, 2 * n :] @ subsets.T
+    clicked = detected[np.where(signs.T > 0, arms[:, None], 2 * n + arms[:, None])]
+    # b_m(S) for m <= top; an order never feeds a lower one
+    falling = np.zeros((top + 1,) + o_sums.shape)
+    falling[0] = 1.0
+    orders = np.arange(top + 1.0)[:, None, None]
+    for row in clicked:
+        # (r(S) + k slope) k^(m) = (r(S) + m slope) k^(m) + slope k^(m+1)
+        slope = row[:, :1]
+        carry = falling[:-1] * slope
+        falling *= row[:, 2 * n :] @ subsets.T + orders * slope
+        falling[1:] += carry
+    # (-1)**N (-1)**|S| o_0(S)**photons
+    power = (-1) ** n * (1 - 2 * (subsets.sum(axis=1) % 2))
+    coeffs = np.empty((top + 1, len(patterns)))
+    for photons in range(top + 1):
+        coeffs[photons] = (power * falling[photons]).sum(axis=-1)
+        power = power * o_sums
+    out = np.zeros((len(patterns), inp.mode_cutoffs[0]), dtype=np.complex128)
+    out[:, : top + 1] = amps[: top + 1] * coeffs.T
+    return dict(zip(patterns, out))
 
 
 def physical_circuit(

@@ -26,6 +26,13 @@ from . import nla
 
 ORACLE_FIDELITY_TOL = 1e-10
 ORACLE_PROB_TOL = 1e-9
+#: Peak bytes per draw of ``sample_postselected_variance``: six float64
+#: arrays (the two quadratures, |alpha|**2, the log weight, its exponential
+#: and the uniform draws) and two masks.
+_DRAW_BYTES = 50
+#: The default 1,000,000 draws take 50 MB. This limit admits up to
+#: 5,368,709 draws and is checked before the first one.
+MAX_SAMPLE_BYTES = 256 * 2**20
 
 
 def random_support_state(rng, cutoff: int, max_support: int) -> MultiModeState:
@@ -136,8 +143,16 @@ def verify_table(
     effective-parameter map over a grid in the physical regime, a
     Monte-Carlo check of the postselected prior variance on ``samples``
     draws, and the nonconvergence guards firing exactly at their
-    boundaries.
+    boundaries. A ``samples`` budget whose draws would hold more than
+    ``MAX_SAMPLE_BYTES`` raises ``ValueError`` before any check runs.
     """
+    size = _DRAW_BYTES * samples
+    if size > MAX_SAMPLE_BYTES:
+        raise ValueError(
+            f"{samples} Monte-Carlo draws need {size / 2**20:.0f} MiB, above the "
+            f"{MAX_SAMPLE_BYTES // 2**20} MiB limit; use at most "
+            f"{MAX_SAMPLE_BYTES // _DRAW_BYTES} samples"
+        )
     rows = []
 
     def check(name: str, passed: bool, deviation: float, detail: str):

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,19 @@ class TestExitCodes:
             "unnormalizable boundaries"
         )
 
+    def test_oversized_sample_budget_refused_before_allocating(self):
+        # 50 bytes per draw: 5,368,710 draws pass the 256 MiB limit, and
+        # 10**12 would be 45 TiB; nothing runs before the refusal
+        for samples in (5_368_710, 10**9, 10**12):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="Monte-Carlo draws"):
+                    verify_table(samples=samples)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+
 
 # One argv per subcommand. Its recorded config, less the keys that only
 # shape the output, is the builder's keyword arguments: a sweep_NAME key
@@ -271,6 +285,19 @@ class TestFigureTables:
         )
         # two etas x two alphas x three gains
         assert len(lines) - 1 == 12
+
+    @pytest.mark.filterwarnings("error")
+    def test_library_chosen_coherent_cutoff_does_not_warn(self, capsys):
+        # minimal_coherent_cutoff(2.337845 * 0.360887) is 13, where the tail
+        # sits just below 1e-12; coherent_state must measure it the same way
+        argv = (
+            "fig3 --arms 7 --eta 0.332825 --sweep alpha=0.360887:0.760887:3 "
+            "--sweep gain=1.337845:2.337845:4"
+        )
+        code, out, err = run_cli(argv.split(), capsys)
+        assert code == 0
+        assert err == ""
+        assert len([l for l in out.splitlines() if not l.startswith("#")]) == 1 + 12
 
     def test_fig4_trend_columns(self, capsys):
         code, out, _ = run_cli(["fig4", "--sweep", "gain=1:2:3"], capsys)
@@ -361,6 +388,7 @@ BAD_INPUTS = [
     "fig4 --arms 1 --cutoff 8 --sweep gain=1:2:3 --sweep gain=1.5:1.5:1",  # 0: first gain sweep ignored
     "distill --chi 0.3 --cutoff 1000",  # a 15 GiB purification, not run
     "fig4 --cutoff 1000",  # a 15 GiB purification, not run
+    "verify --samples 1000000000000",  # 1 by traceback, after the oracle sweep
 ]
 
 

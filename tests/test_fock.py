@@ -66,6 +66,15 @@ class TestCoherentState:
             )
             assert abs(state.amplitudes[n] - want) < 1e-13
 
+    @pytest.mark.filterwarnings("error")
+    def test_chosen_cutoff_never_reads_as_truncated(self):
+        # vdot put the tail of 2.337845 * 0.360887 at 1.0000889e-12, just
+        # past the tolerance that its running Poisson sum had met
+        for alpha in [2.337845 * 0.360887, *np.linspace(0.01, 3.0, 300)]:
+            c = minimal_coherent_cutoff(alpha)
+            assert coherent_state(alpha, c).mode_cutoffs == (c,)
+            assert coherent_state(alpha).mode_cutoffs == (c,)
+
     def test_minimal_cutoff_tail(self):
         for alpha in (0.3, 1.0, 2.2):
             c = minimal_coherent_cutoff(alpha)

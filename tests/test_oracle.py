@@ -1,6 +1,6 @@
 """Circuit oracle: hand-computed single-arm cases, pattern bookkeeping,
-the per-pattern Fock-space reference route, and equivalence with the
-closed-form diagonal operator."""
+the per-pattern reference routes (a Fock-space walk and a permanent per
+pattern), and equivalence with the closed-form diagonal operator."""
 
 import itertools
 import math
@@ -20,7 +20,8 @@ from nlasim import (
     tensor,
     vacuum,
 )
-from nlasim.nla import ORACLE_ARM_LIMIT, _heralded_outputs
+from nlasim.nla import ORACLE_ARM_LIMIT, _circuit_matrix, _heralded_outputs
+from nlasim.optics import _mix_rows
 from nlasim.verification import (
     ORACLE_FIDELITY_TOL,
     ORACLE_PROB_TOL,
@@ -113,6 +114,38 @@ def reference_circuit(inp: MultiModeState, arm_count: int, eta: float) -> np.nda
     return ref_out * scale
 
 
+def reference_coefficients(arm_count: int, eta: float, signs, top: int) -> np.ndarray:
+    """c_n = perm(A_n) / n! for n = 0..top, for one pattern at a time.
+
+    Builds the pattern's own mode matrix (the circuit, the pi feed-forward
+    on the kept rows of -1 arms, the inverse splitter on the kept modes)
+    and sums Ryser's formula over the multiplicities of the columns
+    [arm 0]*n plus the ancillas, rows [o_0]*n plus the clicked modes, with
+    the alternating binomial weights over the copies of arm 0.
+    """
+    n_arms = arm_count
+    u = _circuit_matrix(n_arms, eta)
+    for arm, sign in enumerate(signs):
+        if sign == -1:
+            u[n_arms + arm] *= -1.0
+    for k in range(n_arms - 1, 0, -1):
+        _mix_rows(u, 1.0 / (n_arms - k + 1), n_arms + k - 1, n_arms + k)
+    clicked = [arm if sign == +1 else 2 * n_arms + arm for arm, sign in enumerate(signs)]
+    rows = u[[n_arms] + clicked]
+    subsets = (np.arange(2**n_arms)[:, None] >> np.arange(n_arms)) & 1
+    partial = subsets @ rows[:, 2 * n_arms :].T
+    parity = 1 - 2 * (subsets.sum(axis=1) % 2)
+    coeffs = np.empty(top + 1)
+    for n in range(top + 1):
+        copies = np.arange(n + 1)
+        sums = partial + copies[:, None, None] * rows[:, 0]
+        terms = sums[..., 0] ** n * np.prod(sums[..., 1:], axis=-1)
+        weights = np.array([(-1) ** k * math.comb(n, k) for k in copies])
+        perm = (-1) ** (n + n_arms) * np.sum(np.outer(weights, parity) * terms)
+        coeffs[n] = perm / math.factorial(n)
+    return coeffs
+
+
 def pattern_outputs(state: MultiModeState, arm_count: int, eta: float) -> dict:
     """The library's {signs: (output, probability)} for every pattern."""
     outputs = _heralded_outputs(state, arm_count, eta)
@@ -190,6 +223,37 @@ class TestPatternBookkeeping:
             assert np.max(np.abs(amps - reference_circuit(state, arms, eta))) <= 1e-13
 
     @pytest.mark.parametrize("arms", range(1, ORACLE_ARM_LIMIT + 1))
+    @pytest.mark.parametrize("support", [1, 2, 3, 4])
+    def test_batched_pass_matches_per_pattern_permanents(self, rng, arms, support):
+        # one pass over all patterns against one permanent per pattern
+        for _ in range(3):
+            cutoff = support + 1 + int(rng.integers(0, 2))
+            eta = float(rng.uniform(0.05, 0.95))
+            state = random_support_state(rng, cutoff, support)
+            top = min(support, arms)
+            outputs = _heralded_outputs(state, arms, eta)
+            assert list(outputs) == list(itertools.product((+1, -1), repeat=arms))
+            for signs, out in outputs.items():
+                ref = np.zeros(cutoff, dtype=np.complex128)
+                coeffs = reference_coefficients(arms, eta, signs, top)
+                ref[: top + 1] = state.amplitudes[: top + 1] * coeffs
+                assert np.max(np.abs(out - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("arms", range(1, ORACLE_ARM_LIMIT + 1))
+    def test_no_work_per_pattern(self, monkeypatch, arms):
+        # 3N - 1 row mixes build the circuit and N - 1 the inverse splitter's
+        # first row, whatever the number of click patterns
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _mix_rows(*args)
+
+        monkeypatch.setattr(nlasim.nla, "_mix_rows", counting)
+        physical_circuit(number_state(1, arms + 1), arms, 0.3)
+        assert len(calls) <= 4 * arms - 2
+
+    @pytest.mark.parametrize("arms", range(1, ORACLE_ARM_LIMIT + 1))
     def test_runs_without_fock_beamsplitters(self, monkeypatch, rng, arms):
         # the oracle shares only the sign convention with nlasim.optics; its
         # one Fock-space element, the loss, must not run
@@ -258,13 +322,16 @@ class TestEquivalence:
         assert norm_sq(circuit_out) == pytest.approx(norm_sq(fast_out), rel=1e-9)
 
     @pytest.mark.parametrize("eta", [0.05, 1.0 / 3.0, 0.9])
-    @pytest.mark.parametrize("arms", range(1, ORACLE_ARM_LIMIT + 1))
+    @pytest.mark.parametrize("arms", range(1, ORACLE_ARM_LIMIT + 2))
     def test_number_states_hold_the_float64_margin(self, arms, eta):
         # each coefficient of the closed form to 1e-12 relative: a raise of
-        # the oracle limit has to show this margin again
+        # the oracle limit has to show this margin again, as N = 6 does here
         coeffs = nla_operator(arms, eta, arms + 1)
+        limit = max(arms, ORACLE_ARM_LIMIT)
         for n in range(arms + 1):
-            out = physical_circuit(number_state(n, arms + 1), arms, eta)
+            out = physical_circuit(
+                number_state(n, arms + 1), arms, eta, oracle_limit=limit
+            )
             assert math.sqrt(norm_sq(out)) == pytest.approx(coeffs[n], rel=1e-12)
 
     def test_skip_beyond_limit(self):
