@@ -9,17 +9,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonconvergentError, TruncationError
+from .errors import NonconvergentError
 from .fock import (
     DensityOperator,
     MultiModeState,
+    _coherent_cutoff,
+    _epr_cutoff,
+    _refuse_above,
     annihilation,
     coherent_state,
     density_from_state,
     epr_state,
     fidelity,
-    minimal_coherent_cutoff,
-    minimal_epr_cutoff,
     norm_sq,
     partial_trace,
 )
@@ -84,37 +85,11 @@ def lossy_epr(chi: float, epsilon: float, cutoff: int) -> DensityOperator:
     return partial_trace(loss_channel(epr_state(chi, cutoff), epsilon, mode=0), [2])
 
 
-#: Largest cutoff the automatic sizing will pick. The loss is exact at any
-#: cutoff; what grows is the purification of a distillation
-#: point, cutoff**3 amplitudes (65 MB at cutoff 160), and its run time. The
-#: cap holds until a large-cutoff benchmark workload has measured that cost.
-AUTO_CUTOFF_CAP = 40
-
-
-def _cap_auto_cutoff(cutoff: int, remedy: str) -> int:
-    if cutoff > AUTO_CUTOFF_CAP:
-        raise TruncationError(
-            f"this run needs cutoff {cutoff} (> {AUTO_CUTOFF_CAP}) to keep "
-            "truncation tails below 1e-12; pass an explicit cutoff to accept "
-            f"the cost, or {remedy}"
-        )
-    return cutoff
-
-
-#: Largest loss purification a distillation point may allocate, in bytes.
-#: The purification holds 16 * cutoff**3 bytes and a run peaks at about
-#: eight times that: cutoff 160 (62.5 MiB) peaks at 534 MB RSS. This limit
-#: admits cutoffs up to 161 and is checked before any state is built.
+#: Largest loss purification a run may allocate, in bytes. A distillation
+#: point holds 16 * cutoff**3 bytes and peaks at about eight times that:
+#: cutoff 160 (62.5 MiB) peaks at 534 MB RSS. This limit admits
+#: distillation cutoffs up to 161 and is checked before any state is built.
 MAX_PURIFICATION_BYTES = 64 * 2**20
-
-
-def _distill_cutoff(chi: float, chi_prime: float, arm_count: int | None) -> int:
-    cutoff = minimal_epr_cutoff(chi)
-    if chi_prime < 1.0:
-        cutoff = max(cutoff, minimal_epr_cutoff(chi_prime))
-    if arm_count is not None:
-        cutoff = max(cutoff, arm_count + 1)
-    return _cap_auto_cutoff(cutoff, "lower the source squeezing or the gain")
 
 
 def distill_numeric(
@@ -146,16 +121,11 @@ def distill_numeric(
 
     params = distill_params(chi, epsilon, gain)
     if cutoff is None:
-        cutoff = _distill_cutoff(chi, params.chi_prime, arm_count)
-
-    size = 16 * cutoff**3
-    if size > MAX_PURIFICATION_BYTES:
-        raise ValueError(
-            f"cutoff {cutoff} needs a {size / 2**20:.0f} MiB loss purification, "
-            f"above the {MAX_PURIFICATION_BYTES // 2**20} MiB limit; "
-            "use a cutoff of at most "
-            f"{int((MAX_PURIFICATION_BYTES // 16) ** (1 / 3))}"
-        )
+        remedy = "lower the source squeezing or the gain"
+        cutoff = _epr_cutoff((chi, params.chi_prime), arm_count, remedy)
+    most = f"use a cutoff of at most {int((MAX_PURIFICATION_BYTES // 16) ** (1 / 3))}"
+    what = f"the loss purification at cutoff {cutoff}"
+    _refuse_above(16 * cutoff**3, MAX_PURIFICATION_BYTES, what, most)
     source = epr_state(chi, cutoff)
     purified = loss_channel(source, epsilon, mode=0)
     if arm_count is None:
@@ -189,15 +159,14 @@ def clone_coherent(
     """
     alpha = complex(alpha)
     gain = gain_from_eta(eta)
-    if cutoff is None:
-        cutoff = _cap_auto_cutoff(
-            max(
-                minimal_coherent_cutoff(gain * alpha),
-                minimal_coherent_cutoff(alpha),
-                (arm_count or 0) + 1,
-            ),
-            "lower alpha or the gain",
-        )
+    cutoff = _coherent_cutoff(
+        (alpha, gain * alpha), arm_count, cutoff, "lower alpha or the gain"
+    )
+    # the split peaks at 48 bytes a level pair: the pair, the copy its
+    # state takes and two float64 weight tables
+    most = f"use a cutoff of at most {math.isqrt(MAX_PURIFICATION_BYTES // 48)}"
+    what = f"the clone pair at cutoff {cutoff}"
+    _refuse_above(48 * cutoff**2, MAX_PURIFICATION_BYTES, what, most)
     source = coherent_state(alpha, cutoff)
     if arm_count is None:
         amplified = nla_apply_asymptotic(source, gain)

@@ -48,6 +48,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NonconvergentError
 from .experiments import (
+    MAX_TABLE_BYTES,
     TableResult,
     amplify_table,
     clone_table,
@@ -55,6 +56,7 @@ from .experiments import (
     fig3_table,
     fig4_table,
 )
+from .fock import _refuse_above
 from .nla import eta_from_gain
 from .verification import verify_table
 
@@ -108,9 +110,8 @@ def _sweep_type(names):
         try:
             name, spec = text.split("=", 1)
             start, stop, steps = spec.split(":")
-            values = np.linspace(
-                _finite_float(start), _finite_float(stop), _positive_int(steps)
-            )
+            start, stop = _finite_float(start), _finite_float(stop)
+            steps = _positive_int(steps)
         except (ValueError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(
                 f"expected a sweep as 'name=start:stop:steps', got {text!r}"
@@ -120,7 +121,13 @@ def _sweep_type(names):
             raise argparse.ArgumentTypeError(
                 f"unknown sweep name {name!r} (choose from {', '.join(names)})"
             )
-        return name, values
+        # each step is at least one table row
+        most = f"use at most {MAX_TABLE_BYTES // 2**12} steps"
+        try:
+            _refuse_above(2**12 * steps, MAX_TABLE_BYTES, f"{steps} sweep steps", most)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return name, np.linspace(start, stop, steps)
 
     return parse
 

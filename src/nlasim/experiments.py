@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .applications import (
-    _cap_auto_cutoff,
     clone_coherent,
     clone_fidelities,
     distill_numeric,
@@ -20,12 +19,12 @@ from .applications import (
     purity_product,
 )
 from .fock import (
-    _squared_modulus,
+    _coherent_cutoff,
+    _epr_cutoff,
+    _refuse_above,
     coherent_state,
     epr_state,
     fidelity,
-    minimal_coherent_cutoff,
-    minimal_epr_cutoff,
     norm_sq,
     number_state,
     purity,
@@ -43,6 +42,10 @@ FIDELITY_NOTE = (
     "fidelity is the squared-overlap convention |<target|out>|**2 on "
     "normalized states; fidelity_amplitude is its square root"
 )
+
+#: Largest table a run may build, in bytes, at 4 KiB a row: a row written
+#: as JSON peaks at about 2.4 KiB. This admits 65,536 rows.
+MAX_TABLE_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -79,30 +82,29 @@ def amplify_table(
     gain = gain_from_eta(eta)
     if (alpha is None) == (fock is None):
         raise ValueError("exactly one of alpha / fock must be given")
-    if alpha is not None:
-        # an input or target amplitude with no finite square fails here,
-        # before a state truncated at an explicit cutoff can warn
-        _squared_modulus(max(1.0, gain) * alpha, "amplitude")
-    if gamma:
-        if alpha is None or asymptotic:
-            raise ValueError("the misfire model needs a coherent input at finite arms")
-        return _misfire_table(alpha, arms, eta, gamma, cutoff, gain)
-    if alpha is not None:
-        if cutoff is None:
-            cutoff = max(
-                minimal_coherent_cutoff(alpha),
-                minimal_coherent_cutoff(gain * alpha),
-                arms + 1,
-            )
-        state = coherent_state(alpha, cutoff)
-        target = coherent_state(gain * alpha, cutoff)
-    else:
+    if gamma and (alpha is None or asymptotic):
+        raise ValueError("the misfire model needs a coherent input at finite arms")
+    if alpha is None:
         if cutoff is None:
             # one slot of headroom keeps the ideal-map tail check off the
             # top basis entry
             cutoff = max(fock + 2, arms + 1)
+    elif gamma:
+        # the misfire branches check alpha itself before building a state
+        cutoff = _coherent_cutoff((gain * alpha,), arms, cutoff)
+    else:
+        cutoff = _coherent_cutoff((gain * alpha, alpha), arms, cutoff)
+    # one row per basis level
+    most = "use a smaller photon number, arm count or cutoff"
+    _refuse_above(2**12 * cutoff, MAX_TABLE_BYTES, f"a table of {cutoff} rows", most)
+    if gamma:
+        return _misfire_table(alpha, arms, eta, gamma, cutoff, gain)
+    if alpha is None:
         state = number_state(fock, cutoff)
         target = state
+    else:
+        state = coherent_state(alpha, cutoff)
+        target = coherent_state(gain * alpha, cutoff)
 
     if asymptotic:
         out = nla_apply_asymptotic(state, gain)
@@ -137,8 +139,6 @@ def amplify_table(
 
 
 def _misfire_table(alpha, arms, eta, gamma, cutoff, gain) -> TableResult:
-    if cutoff is None:
-        cutoff = max(minimal_coherent_cutoff(gain * alpha), arms + 1)
     rho = misfire_density(alpha, arms, eta, gamma, cutoff)
     first, second = misfire_terms(alpha, arms, eta, gamma, cutoff)
     accept = rho.trace
@@ -183,20 +183,21 @@ def fig3_table(
     if gains is None:
         gains = np.linspace(1.0, 3.5, 51)
     gains = [float(g) for g in gains]
-    # an input or target amplitude with no finite square fails here,
-    # before a state truncated at an explicit cutoff can warn
-    scale = max([1.0, *map(abs, gains)])
-    for alpha in alphas:
-        _squared_modulus(scale * alpha, "amplitude")
+    # sized for the largest gain; the smallest is checked too, since a
+    # negative gain's target can be the largest amplitude
+    hi, lo = max(gains), min(gains)
+    cutoffs = [
+        _coherent_cutoff((hi * abs(a), lo * abs(a), a), arms, cutoff) for a in alphas
+    ]
+    # a basis level of the states is counted as a row
+    n_rows, top = len(etas) * len(alphas) * len(gains), max(cutoffs, default=1)
+    most = "use fewer etas, alphas or gains, or a lower arm count or cutoff"
+    what = f"a table of {n_rows} rows at cutoff {top}"
+    _refuse_above(2**12 * (n_rows + top), MAX_TABLE_BYTES, what, most)
     rows = []
     for eta in etas:
         g_dev = gain_from_eta(eta)
-        for alpha in map(complex, alphas):
-            c = cutoff or max(
-                minimal_coherent_cutoff(alpha),
-                minimal_coherent_cutoff(max(gains) * abs(alpha)),
-                arms + 1,
-            )
+        for alpha, c in zip(map(complex, alphas), cutoffs):
             out = nla_apply(coherent_state(alpha, c), arms, eta)
             prob = norm_sq(out)
             for g_t in gains:
@@ -326,10 +327,9 @@ def distill_table(
         chi_t = math.tanh(target_r)
         if not 0.0 <= chi_t < 1.0:
             raise ValueError(f"tanh(target_r) = {chi_t} lies outside [0, 1)")
-        target_cutoff = minimal_epr_cutoff(chi_t)
         # the target's own amplitudes take cutoff**2 memory
-        if target_cutoff > rho.basis_cutoffs[0]:
-            _cap_auto_cutoff(target_cutoff, "lower target_r")
+        held = rho.basis_cutoffs[0]
+        target_cutoff = _epr_cutoff((chi_t,), None, "lower target_r", held)
         fid_t = fidelity(rho, epr_state(chi_t, target_cutoff))
         row["target_r"] = target_r
         row["fidelity_vs_target_r"] = fid_t

@@ -241,6 +241,56 @@ def epr_state(chi: float, cutoff: int | None = None) -> MultiModeState:
     return MultiModeState((cutoff, cutoff), amps)
 
 
+# ---------------------------------------------------------------------------
+# sizing: every automatic cutoff and every byte budget is decided here
+
+#: Largest automatic cutoff of distill, fig4, clone and the ``target_r``
+#: state. A distillation point holds cutoff**3 amplitudes (65 MB at 160);
+#: the cap holds until a large-cutoff benchmark has measured that cost.
+AUTO_CUTOFF_CAP = 40
+
+
+def _cap_auto_cutoff(minimal, arm_count, remedy=None, held: int = 0) -> int:
+    """Largest of the states' ``minimal`` cutoffs and ``arm_count + 1``;
+    with a ``remedy`` it may pass ``AUTO_CUTOFF_CAP`` only up to ``held``,
+    a cutoff the run already holds."""
+    cutoff = max([*minimal, (arm_count or 0) + 1])
+    if remedy is not None and cutoff > max(AUTO_CUTOFF_CAP, held):
+        raise TruncationError(
+            f"this run needs cutoff {cutoff} (> {AUTO_CUTOFF_CAP}) to keep "
+            "truncation tails below 1e-12; pass an explicit cutoff to accept "
+            f"the cost, or {remedy}"
+        )
+    return cutoff
+
+
+def _coherent_cutoff(amplitudes, arm_count, cutoff, remedy=None) -> int:
+    """An explicit ``cutoff`` (>= 1), or the automatic one of coherent states
+    of the given amplitudes. Each amplitude must have a finite square, so a
+    bad one is refused before a state truncated at that cutoff can warn."""
+    mus = [_squared_modulus(a, "amplitude") for a in amplitudes]
+    if cutoff is None:
+        return _cap_auto_cutoff([_poisson_kept(mu)[0] for mu in mus], arm_count, remedy)
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    return cutoff
+
+
+def _epr_cutoff(chis, arm_count, remedy, held: int = 0) -> int:
+    """Automatic cutoff of two-mode squeezed states; a chi >= 1 has none."""
+    minimal = [minimal_epr_cutoff(chi) for chi in chis if chi < 1.0]
+    return _cap_auto_cutoff(minimal, arm_count, remedy, held)
+
+
+def _refuse_above(nbytes: int, limit: int, what: str, remedy: str) -> None:
+    """Refuse a run whose ``what`` would take more than ``limit`` bytes."""
+    if nbytes > limit:
+        raise ValueError(
+            f"{what} would take {math.ceil(nbytes / 2**20)} MiB, above the "
+            f"{limit // 2**20} MiB limit; {remedy}"
+        )
+
+
 def annihilation(cutoff: int) -> np.ndarray:
     """Matrix of the annihilation operator a at the given cutoff."""
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=np.float64)), k=1).astype(

@@ -296,16 +296,16 @@ def misfire_terms(
         raise ValueError("arm_count must be >= 1")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
+    alpha = complex(alpha)
+    envelope = math.exp(-_squared_modulus(alpha, "amplitude") / 2.0)
     if gamma > 0.1:
         warnings.warn(
             "first-order misfire model is unreliable for gamma > 0.1",
             UserWarning,
         )
-    alpha = complex(alpha)
     g = gain_from_eta(eta)
     if cutoff is None:
         cutoff = arm_count + 1
-    envelope = math.exp(-_squared_modulus(alpha, "amplitude") / 2.0)
 
     def branch(arms: int, weight: float) -> MultiModeState:
         amps = np.zeros(cutoff, dtype=np.complex128)

@@ -60,14 +60,20 @@ def loss_channel(state, epsilon: float, mode: int = 0) -> MultiModeState:
     cutoff = mm.mode_cutoffs[mode]
     photons = np.arange(cutoff)
     kept, lost = math.sqrt(epsilon) ** photons, math.sqrt(1.0 - epsilon) ** photons
+    # binom[k, m] = sqrt(C(k + m, k)) from log factorials L, which cannot
+    # overflow as float(C(n, k)) does past n ~ 1030; L[k] + L[m] is
+    # symmetric, so binom is too. Entries with k + m >= cutoff go unread
+    # and are clipped to n = cutoff - 1.
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(photons[1:]))))
+    total = np.minimum(np.add.outer(photons, photons), cutoff - 1)
+    binom = np.exp(0.5 * (log_fact[total] - np.add.outer(log_fact, log_fact)))
     amps = np.moveaxis(mm.amplitudes, mode, -1)
     # laid out (environment, other modes, mode): each k fills one slab
     out = np.zeros((cutoff,) + amps.shape, dtype=np.complex128)
     for k in range(cutoff):
         # inputs n = k..cutoff-1 that lose k photons; powers first, so a
         # 50:50 split is mirror-exact to the last bit (equal clones)
-        binom = np.sqrt([float(math.comb(n, k)) for n in range(k, cutoff)])
-        weight = binom * (lost[k] * kept[: cutoff - k])
+        weight = binom[k, : cutoff - k] * (lost[k] * kept[: cutoff - k])
         out[k, ..., : cutoff - k] = amps[..., k:] * weight
     out = np.moveaxis(np.moveaxis(out, 0, -1), -2, mode)
     return MultiModeState(mm.mode_cutoffs + (cutoff,), out)

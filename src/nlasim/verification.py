@@ -21,7 +21,7 @@ from .applications import (
 )
 from .errors import NonconvergentError
 from .experiments import TableResult
-from .fock import MultiModeState, epr_state, fidelity, norm_sq
+from .fock import MultiModeState, _refuse_above, epr_state, fidelity, norm_sq
 from . import nla
 
 ORACLE_FIDELITY_TOL = 1e-10
@@ -146,13 +146,10 @@ def verify_table(
     boundaries. A ``samples`` budget whose draws would hold more than
     ``MAX_SAMPLE_BYTES`` raises ``ValueError`` before any check runs.
     """
-    size = _DRAW_BYTES * samples
-    if size > MAX_SAMPLE_BYTES:
-        raise ValueError(
-            f"{samples} Monte-Carlo draws need {size / 2**20:.0f} MiB, above the "
-            f"{MAX_SAMPLE_BYTES // 2**20} MiB limit; use at most "
-            f"{MAX_SAMPLE_BYTES // _DRAW_BYTES} samples"
-        )
+    most = f"use at most {MAX_SAMPLE_BYTES // _DRAW_BYTES} samples"
+    _refuse_above(
+        _DRAW_BYTES * samples, MAX_SAMPLE_BYTES, f"{samples} Monte-Carlo draws", most
+    )
     rows = []
 
     def check(name: str, passed: bool, deviation: float, detail: str):

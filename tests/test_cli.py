@@ -332,6 +332,18 @@ class TestFigureTables:
         assert float(row[cols.index("clone2_fidelity")]) == pytest.approx(1.0, abs=1e-9)
 
 
+# Sizes a user can type whose arrays or tables would take gigabytes. The
+# first three ended in a numpy._ArrayMemoryError traceback under a 4 GB
+# address-space limit; each is now refused before it allocates.
+OVERSIZED = [
+    "fig3 --sweep gain=1:2:1000000000000000",
+    "fig4 --sweep gain=1:2:1000000000000000",
+    "amplify --fock 100000000000",
+    "amplify --alpha 0.1 --cutoff 100000000",
+    "fig3 --arms 100000000000",
+    "fig3 --cutoff 100000000",
+]
+
 # Each bad input exits 1 with one stderr line. The comment on each case
 # gives its exit code under the earlier CLI, which ran its own range checks
 # and caught only ConfigError and TruncationError: "1 by traceback" is the
@@ -389,6 +401,8 @@ BAD_INPUTS = [
     "distill --chi 0.3 --cutoff 1000",  # a 15 GiB purification, not run
     "fig4 --cutoff 1000",  # a 15 GiB purification, not run
     "verify --samples 1000000000000",  # 1 by traceback, after the oracle sweep
+    "clone --alpha 20 --cutoff 1200",  # 1 by traceback: OverflowError
+    *OVERSIZED,
 ]
 
 
@@ -402,6 +416,29 @@ def test_bad_input_exits_1_with_one_line(argv, capsys, tmp_path):
     assert len(err.splitlines()) == 1
     assert err.startswith("nlasim: configuration error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", OVERSIZED)
+def test_oversized_run_refused_before_allocating(argv, capsys):
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(argv.split(), capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "above the 256 MiB limit" in err
+    assert peak < 2**20
+
+
+def test_clone_past_the_float_binomial_range_runs(capsys):
+    # float(math.comb(n, k)) overflows past n ~ 1030; the loss weights
+    # come from log factorials instead
+    code, out, err = run_cli("clone --alpha 20 --cutoff 1100".split(), capsys)
+    assert code == 0
+    assert err == ""
+    row = out.splitlines()[-1].split(",")
+    assert float(row[-1]) == float(row[-2])
 
 
 def test_closed_stdout_pipe_exits_1_quietly():

@@ -1,7 +1,7 @@
 """Import hygiene of the package sources: no module imports a name it never
 uses or a package beyond the standard library and numpy, the package exports
-exactly what its ``__init__`` imports, and no private helper or module
-constant is left with no reader."""
+exactly what its ``__init__`` imports, no private helper or module constant
+is left with no reader, and only ``fock`` sizes a run."""
 
 import ast
 import sys
@@ -106,3 +106,33 @@ def test_no_orphan_helper_or_constant(path):
         if not _is_read(name, node, trees)
     ]
     assert not orphans, f"{path.name} defines {orphans} but nothing reads them"
+
+
+def _name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "fock.py"], ids=lambda p: p.name
+)
+def test_only_fock_sizes_a_run(path):
+    # every cutoff rule and byte budget lives in fock's sizing section:
+    # elsewhere no minimal cutoff is computed and no size is compared
+    # against a MAX_*_BYTES limit (passing one to _refuse_above is fine)
+    sizing = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and _name(node.func) in (
+            "minimal_coherent_cutoff",
+            "minimal_epr_cutoff",
+        ):
+            sizing.append(f"line {node.lineno}: {_name(node.func)}")
+        elif isinstance(node, ast.Compare):
+            for operand in ast.walk(node):
+                name = _name(operand) or ""
+                if name.startswith("MAX_") and name.endswith("_BYTES"):
+                    sizing.append(f"line {node.lineno}: compares with {name}")
+    assert not sizing, f"{path.name} sizes a run outside fock.py: {sizing}"
