@@ -24,6 +24,17 @@ DEFAULT_TAIL_TOL = 1e-12
 
 
 def _frozen_array(values, dtype=np.complex128) -> np.ndarray:
+    """A read-only C-ordered copy of ``values``. An array that is already
+    read-only, C-ordered, of this dtype and owner of its data cannot
+    change under the caller, so it is kept as it is."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and values.base is None
+        and not values.flags.writeable
+        and values.flags.c_contiguous
+    ):
+        return values
     arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
@@ -47,7 +58,8 @@ class MultiModeState:
 
     The amplitude tensor has shape ``mode_cutoffs``; a single-mode state
     over |0>, ..., |c-1> has ``mode_cutoffs == (c,)``. The squared norm may
-    be below one (heralding amplitude) but never above it.
+    be below one (heralding amplitude) but never above it, and it must be
+    finite.
     """
 
     mode_cutoffs: tuple
@@ -63,8 +75,9 @@ class MultiModeState:
             raise ValueError(f"amplitude shape {amps.shape} != cutoffs {cutoffs}")
         object.__setattr__(self, "amplitudes", amps)
         n2 = norm_sq(self)
-        if n2 > 1.0 + NORM_TOL:
-            raise ValueError(f"squared norm {n2} exceeds 1")
+        if not n2 <= 1.0 + NORM_TOL:
+            problem = "exceeds 1" if math.isfinite(n2) else "is not finite"
+            raise ValueError(f"squared norm {n2} {problem}")
 
     @property
     def n_modes(self) -> int:
@@ -245,8 +258,9 @@ def epr_state(chi: float, cutoff: int | None = None) -> MultiModeState:
 # sizing: every automatic cutoff and every byte budget is decided here
 
 #: Largest automatic cutoff of distill, fig4, clone and the ``target_r``
-#: state. A distillation point holds cutoff**3 amplitudes (65 MB at 160);
-#: the cap holds until a large-cutoff benchmark has measured that cost.
+#: state. A distillation point is computed from its cutoff**2 / 2 sector
+#: amplitudes but returns a factor of cutoff**3 (65 MB at 160); the cap
+#: holds until a large-cutoff benchmark has measured what raising it costs.
 AUTO_CUTOFF_CAP = 40
 
 

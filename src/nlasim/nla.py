@@ -97,6 +97,16 @@ def _check_convergent(weights: np.ndarray, gain: float):
         )
 
 
+def _ideal_coefficients(gain: float, cutoff: int) -> np.ndarray:
+    """Coefficients g**n of the ideal map, n < cutoff; a gain that
+    overflows them within the cutoff is rejected."""
+    with np.errstate(over="ignore"):
+        coeffs = gain ** np.arange(cutoff, dtype=np.float64)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"gain {gain:.6g} gives non-finite g**n within the cutoff")
+    return coeffs
+
+
 def _mode_shape(mm: MultiModeState, mode: int) -> list:
     """Broadcast shape that lays a number-basis vector along one mode."""
     if not 0 <= mode < mm.n_modes:
@@ -130,11 +140,7 @@ def nla_apply_asymptotic(state, gain: float, mode: int = 0) -> MultiModeState:
         raise ValueError("gain must be positive")
     mm = _pure(state)
     shape = _mode_shape(mm, mode)
-    with np.errstate(over="ignore"):
-        coeffs = gain ** np.arange(shape[mode], dtype=np.float64)
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError(f"gain {gain:.6g} gives non-finite g**n within the cutoff")
-    amps = mm.amplitudes * coeffs.reshape(shape)
+    amps = mm.amplitudes * _ideal_coefficients(gain, shape[mode]).reshape(shape)
     weights = np.abs(amps) ** 2
     axes = tuple(i for i in range(mm.n_modes) if i != mode)
     _check_convergent(weights.sum(axis=axes) if axes else weights, gain)

@@ -44,6 +44,28 @@ def _mix_rows(matrix: np.ndarray, t: float, a: int, b: int) -> None:
     matrix[b] = c * row_b - s * row_a
 
 
+def _loss_weights(epsilon: float, cutoff: int) -> np.ndarray:
+    """Loss amplitudes w[k, a] = sqrt(C(a + k, k)) (1-eps)**(k/2) eps**(a/2)
+    of a input photons kept and k lost, zero where a + k >= cutoff.
+
+    The binomial comes from log factorials L, which cannot overflow as
+    float(C(n, k)) does past n ~ 1030; L[k] + L[a] is symmetric in k and
+    a, so the binomial is too. The powers are multiplied together first,
+    so a 50:50 split is mirror-exact to the last bit (equal clones).
+    """
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("transmission must lie in [0, 1]")
+    photons = np.arange(cutoff)
+    kept, lost = math.sqrt(epsilon) ** photons, math.sqrt(1.0 - epsilon) ** photons
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(photons[1:]))))
+    total = np.add.outer(photons, photons)
+    inside = total < cutoff
+    binom = np.exp(
+        0.5 * (log_fact[np.where(inside, total, 0)] - np.add.outer(log_fact, log_fact))
+    )
+    return np.where(inside, binom * np.multiply.outer(lost, kept), 0.0)
+
+
 def loss_channel(state, epsilon: float, mode: int = 0) -> MultiModeState:
     """Couple one mode to vacuum through transmissivity ``epsilon``.
 
@@ -53,27 +75,15 @@ def loss_channel(state, epsilon: float, mode: int = 0) -> MultiModeState:
     gives the lossy state.
     """
     mm = _pure(state)
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("transmission must lie in [0, 1]")
     if not 0 <= mode < mm.n_modes:
         raise ValueError(f"mode {mode} out of range")
     cutoff = mm.mode_cutoffs[mode]
-    photons = np.arange(cutoff)
-    kept, lost = math.sqrt(epsilon) ** photons, math.sqrt(1.0 - epsilon) ** photons
-    # binom[k, m] = sqrt(C(k + m, k)) from log factorials L, which cannot
-    # overflow as float(C(n, k)) does past n ~ 1030; L[k] + L[m] is
-    # symmetric, so binom is too. Entries with k + m >= cutoff go unread
-    # and are clipped to n = cutoff - 1.
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(photons[1:]))))
-    total = np.minimum(np.add.outer(photons, photons), cutoff - 1)
-    binom = np.exp(0.5 * (log_fact[total] - np.add.outer(log_fact, log_fact)))
+    weights = _loss_weights(epsilon, cutoff)
     amps = np.moveaxis(mm.amplitudes, mode, -1)
     # laid out (environment, other modes, mode): each k fills one slab
     out = np.zeros((cutoff,) + amps.shape, dtype=np.complex128)
     for k in range(cutoff):
-        # inputs n = k..cutoff-1 that lose k photons; powers first, so a
-        # 50:50 split is mirror-exact to the last bit (equal clones)
-        weight = binom[k, : cutoff - k] * (lost[k] * kept[: cutoff - k])
-        out[k, ..., : cutoff - k] = amps[..., k:] * weight
+        # inputs n = k..cutoff-1 that lose k photons
+        out[k, ..., : cutoff - k] = amps[..., k:] * weights[k, : cutoff - k]
     out = np.moveaxis(np.moveaxis(out, 0, -1), -2, mode)
     return MultiModeState(mm.mode_cutoffs + (cutoff,), out)

@@ -112,3 +112,25 @@ def even_splitter(state, inverse=False) -> MultiModeState:
         pair = (k - 1, k) if inverse else (k, k - 1)
         state = beamsplitter(state, 1.0 / (n - k + 1), pair)
     return state
+
+
+def dense_purity_product(rho) -> tuple[float, float]:
+    """(v_minus, v_plus) from kron-built two-mode quadrature operators O,
+    applied to the trace-normalized factor F: Tr rho O = <F, O F> and
+    Tr rho O**2 = ||O F||**2 for Hermitian O."""
+    fac = rho.factor / math.sqrt(rho.trace)
+    ca, cb = rho.basis_cutoffs
+    xs, ps = [], []
+    for m, c in enumerate((ca, cb)):
+        a = annihilation(c)
+        for ops, op in ((xs, a + a.conj().T), (ps, -1j * (a - a.conj().T))):
+            ops.append(np.kron(op, np.eye(cb)) if m == 0 else np.kron(np.eye(ca), op))
+
+    def variance(op):
+        applied = op @ fac
+        mean = np.vdot(fac, applied).real
+        return np.vdot(applied, applied).real - mean**2
+
+    v_x = {sign: variance(xs[0] + sign * xs[1]) / 2.0 for sign in (-1.0, +1.0)}
+    sign = min(v_x, key=v_x.get)
+    return v_x[sign], variance(ps[0] + sign * ps[1]) / 2.0

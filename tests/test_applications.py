@@ -1,13 +1,16 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
+import nlasim.applications
 from nlasim import (
     NonconvergentError,
+    TruncationWarning,
     clone_coherent,
     clone_fidelities,
     distill_numeric,
@@ -15,9 +18,11 @@ from nlasim import (
     epr_state,
     eta_from_gain,
     fidelity,
+    gain_from_eta,
     loss_channel,
     lossy_epr,
     nla_apply,
+    nla_apply_asymptotic,
     nla_operator,
     norm_sq,
     partial_trace,
@@ -29,6 +34,7 @@ from nlasim import (
 )
 from nlasim.experiments import distill_table, fig4_table
 from nlasim.verification import _chi_squared_z
+from conftest import dense_purity_product
 
 
 class TestCloner:
@@ -205,6 +211,90 @@ class TestDistillNumeric:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20
+
+    def test_distillation_builds_no_purification(self):
+        # the returned factor takes 16 * c**3 bytes; the dense composition
+        # peaked at eight times that
+        cutoff = 100
+        tracemalloc.start()
+        try:
+            with pytest.warns(TruncationWarning):
+                rho, _ = distill_numeric(0.3, 0.5, 2, 0.05, cutoff)
+            purity_product(rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * cutoff**3
+
+
+# ---------------------------------------------------------------------------
+# the dense composition that distill_numeric replaced, kept as its
+# structurally different reference: the c**3 loss purification, the
+# amplifier applied to it, the trace over the loss mode, the SVD fidelity
+# against the lossy target built the same way, and kron-built quadratures
+
+
+def dense_distill(chi, epsilon, arm_count, eta, cutoff):
+    gain = gain_from_eta(eta)
+    purified = loss_channel(epr_state(chi, cutoff), epsilon)
+    if arm_count is None:
+        amplified = nla_apply_asymptotic(purified, gain)
+    else:
+        amplified = nla_apply(purified, arm_count, eta)
+    rho = partial_trace(amplified, [2])
+    params = distill_params(chi, epsilon, gain)
+    if not params.physical:
+        return rho, math.nan
+    target = loss_channel(epr_state(params.chi_prime, cutoff), params.eps_prime)
+    return rho, fidelity(rho, partial_trace(target, [2]))
+
+
+def _with_truncation_warnings(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run()
+    return out, [str(w.message) for w in caught if w.category is TruncationWarning]
+
+
+class TestSectorRoute:
+    @pytest.mark.parametrize("cutoff", [17, 24, 32, 40])
+    @pytest.mark.parametrize("arms", [1, 2, 3, None])
+    def test_matches_dense_composition(self, arms, cutoff):
+        # gain 3: chi' = 0.67 wants cutoff 35, so the lower cutoffs warn
+        chi, eps, eta = 0.3, 0.5, 0.1
+        (rho, fid), warned = _with_truncation_warnings(
+            lambda: distill_numeric(chi, eps, arms, eta, cutoff)
+        )
+        (dense, dense_fid), dense_warned = _with_truncation_warnings(
+            lambda: dense_distill(chi, eps, arms, eta, cutoff)
+        )
+        assert warned == dense_warned
+        if arms is not None:
+            assert np.array_equal(rho.factor, dense.factor)
+        assert rho.trace == pytest.approx(dense.trace, rel=1e-13)
+        assert fid == pytest.approx(dense_fid, rel=1e-13)
+        report = purity_product(rho)
+        v_minus, v_plus = dense_purity_product(dense)
+        assert report.v_minus == pytest.approx(v_minus, rel=1e-13)
+        assert report.v_plus == pytest.approx(v_plus, rel=1e-13)
+
+    def test_calls_no_dense_stage(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense stage ran")
+
+        for name in ("loss_channel", "nla_apply", "nla_apply_asymptotic",
+                     "partial_trace", "fidelity"):
+            monkeypatch.setattr(nlasim.applications, name, refuse)
+        for arms in (2, None):
+            rho, _ = distill_numeric(0.3, 0.5, arms, 0.1, 24)
+            purity_product(rho)
+        purity_product(lossy_epr(0.3, 0.5, 24))
+
+    def test_nonconvergent_case_matches_dense_composition(self):
+        # gain 2 on a lossless line: chi' = 1.2
+        for run in (distill_numeric, dense_distill):
+            with pytest.raises(NonconvergentError):
+                run(0.6, 1.0, None, 0.2, 40)
 
 
 class TestPurityProduct:

@@ -9,7 +9,6 @@ from nlasim import (
     DensityOperator,
     MultiModeState,
     TruncationWarning,
-    annihilation,
     coherent_state,
     density_from_state,
     epr_state,
@@ -27,7 +26,13 @@ from nlasim import (
     tensor,
     vacuum,
 )
-from conftest import pad_state, random_density, random_fock, random_multimode
+from conftest import (
+    dense_purity_product,
+    pad_state,
+    random_density,
+    random_fock,
+    random_multimode,
+)
 
 
 class TestCoherentState:
@@ -261,6 +266,14 @@ class TestInvariantsAndPlumbing:
         with pytest.raises(ValueError):
             MultiModeState((2,), np.array([1.0, 0.5], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_amplitude_refused(self, bad):
+        # a NaN squared norm compares False with any bound, so it is
+        # refused by name rather than let through as "not above 1"
+        amps = np.array([0.5, bad, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match="squared norm .* is not finite"):
+            MultiModeState((3,), amps)
+
     @pytest.mark.parametrize(
         "bad", [DensityOperator((2,), np.eye(2) / math.sqrt(2.0)), [1.0, 0.0]]
     )
@@ -279,6 +292,18 @@ class TestInvariantsAndPlumbing:
             norm_sq(bad)
         with pytest.raises(TypeError):
             normalize(bad)
+
+    def test_factor_is_copied_unless_it_cannot_change(self):
+        writable = np.array([[1.0], [0.0]], dtype=complex)
+        rho = DensityOperator((2,), writable)
+        writable[0, 0] = 0.5
+        assert rho.trace == 1.0
+        # a read-only view of data that can still change is copied too
+        view = writable[:, :]
+        view.setflags(write=False)
+        assert DensityOperator((2,), view).factor is not view
+        writable.setflags(write=False)
+        assert DensityOperator((2,), writable).factor is writable
 
     def test_density_validation(self, rng):
         # rho = F F+ is Hermitian and positive by construction; what can
@@ -353,25 +378,6 @@ def dense_fidelity(a, b) -> float:
         return float(np.real(xb.conj() @ xa @ xb))
     sing = np.linalg.svd(_psd_sqrt(xa) @ _psd_sqrt(xb), compute_uv=False)
     return float(np.sum(sing)) ** 2
-
-
-def dense_purity_product(rho) -> tuple[float, float]:
-    """(v_minus, v_plus) from kron-built two-mode quadrature operators."""
-    mat = rho.matrix / rho.trace
-    ca, cb = rho.basis_cutoffs
-    xs, ps = [], []
-    for m, c in enumerate((ca, cb)):
-        a = annihilation(c)
-        for ops, op in ((xs, a + a.conj().T), (ps, -1j * (a - a.conj().T))):
-            ops.append(np.kron(op, np.eye(cb)) if m == 0 else np.kron(np.eye(ca), op))
-
-    def variance(op):
-        mean = np.trace(mat @ op).real
-        return np.trace(mat @ op @ op).real - mean**2
-
-    v_x = {sign: variance(xs[0] + sign * xs[1]) / 2.0 for sign in (-1.0, +1.0)}
-    sign = min(v_x, key=v_x.get)
-    return v_x[sign], variance(ps[0] + sign * ps[1]) / 2.0
 
 
 def _random_two_mode(rng, cutoffs, rank):
