@@ -24,16 +24,14 @@ from .fock import (
     partial_trace,
 )
 from .nla import (
-    _check_convergent,
     _gain_squared,
-    _ideal_coefficients,
     eta_from_gain,
     gain_from_eta,
     nla_apply,
     nla_apply_asymptotic,
     nla_operator,
 )
-from .optics import _loss_weights, loss_channel
+from .optics import _lose, loss_channel
 
 
 @dataclass(frozen=True)
@@ -81,21 +79,15 @@ def distill_params(chi: float, epsilon: float, gain: float) -> EffectiveEprParam
     return EffectiveEprParams(chi_prime, eps_prime, chi_prime < 1.0)
 
 
-def _lossy_sectors(source: MultiModeState, epsilon: float, coeffs=None) -> np.ndarray:
+def _lossy_sectors(chi: float, epsilon: float, cutoff: int) -> np.ndarray:
     """Amplitudes G[k, a] of |a>_A |a + k>_B |k>_E once arm A of the
-    two-mode squeezed ``source`` has lost k photons through transmission
-    ``epsilon`` and its a kept photons are scaled by ``coeffs[a]``.
+    two-mode squeezed state has lost k photons through transmission
+    ``epsilon``: the loss kernel on its Schmidt vector.
 
     Loss keeps n_B - n_A = k and the amplifier is diagonal, so these
-    numbers, zero where a + k >= cutoff, fix the state. The products run
-    in the order of loss_channel then nla_apply.
+    numbers, zero where a + k >= cutoff, fix the state.
     """
-    cutoff = source.mode_cutoffs[0]
-    diag = np.concatenate((np.diagonal(source.amplitudes).real, np.zeros(cutoff - 1)))
-    photons = np.arange(cutoff)
-    # diag[a + k], the source amplitude of the a + k photons A started with
-    sectors = diag[np.add.outer(photons, photons)] * _loss_weights(epsilon, cutoff)
-    return sectors if coeffs is None else sectors * coeffs
+    return _lose(np.diagonal(epr_state(chi, cutoff).amplitudes).real, epsilon)
 
 
 def _sector_density(sectors: np.ndarray) -> DensityOperator:
@@ -114,7 +106,7 @@ def _sector_density(sectors: np.ndarray) -> DensityOperator:
 def lossy_epr(chi: float, epsilon: float, cutoff: int) -> DensityOperator:
     """Two-mode squeezed state with one arm sent through transmission
     ``epsilon``; the analytic target of the distillation pipeline."""
-    return _sector_density(_lossy_sectors(epr_state(chi, cutoff), epsilon))
+    return _sector_density(_lossy_sectors(chi, epsilon, cutoff))
 
 
 #: Largest loss purification a run may allocate, in bytes. A distillation
@@ -145,10 +137,13 @@ def distill_numeric(
     at that gain is used instead, its output has trace 1 and no
     probability is defined.
 
-    The run works on the photon-difference sectors of ``_lossy_sectors``:
-    the state and the target are both sums over k of one vector on the
-    diagonal b = a + k, so the overlap of their factors is diagonal in k
-    with nonnegative entries and its trace norm is the plain overlap.
+    The run works on the photon-difference sectors G[k, a] of
+    ``_lossy_sectors``, from the loss kernel ``loss_channel`` uses too. The
+    amplifier scales their columns a; the ideal map is
+    ``nla_apply_asymptotic`` on G as a two-mode state (loss, arm A). The
+    state and the target are both sums over k of one vector on the diagonal
+    b = a + k, so the overlap of their factors is diagonal in k with
+    nonnegative entries and its trace norm is the plain overlap.
     """
     if (eta is None) == (gain is None):
         raise ValueError("exactly one of eta / gain must be given")
@@ -164,20 +159,16 @@ def distill_numeric(
     most = f"use a cutoff of at most {int((MAX_PURIFICATION_BYTES // 16) ** (1 / 3))}"
     what = f"the loss purification at cutoff {cutoff}"
     _refuse_above(16 * cutoff**3, MAX_PURIFICATION_BYTES, what, most)
-    source = epr_state(chi, cutoff)
+    sectors = _lossy_sectors(chi, epsilon, cutoff)
     if arm_count is None:
-        sectors = _lossy_sectors(source, epsilon, _ideal_coefficients(gain, cutoff))
-        weights = sectors**2
-        # the A marginal, sum over k of G[k, a]**2, must decay by the cutoff
-        _check_convergent(weights.sum(axis=0), gain)
-        # the ideal map has no herald: its output is renormalized
-        sectors /= math.sqrt(float(weights.sum()))
+        pair = MultiModeState((cutoff, cutoff), sectors)
+        sectors = nla_apply_asymptotic(pair, gain, mode=1).amplitudes.real
     else:
-        sectors = _lossy_sectors(source, epsilon, nla_operator(arm_count, eta, cutoff))
+        sectors = sectors * nla_operator(arm_count, eta, cutoff)
     rho = _sector_density(sectors)
 
     if params.physical:
-        target = _lossy_sectors(epr_state(params.chi_prime, cutoff), params.eps_prime)
+        target = _lossy_sectors(params.chi_prime, params.eps_prime, cutoff)
         norms = float(np.vdot(sectors, sectors)) * float(np.vdot(target, target))
         fid = min(max(float(np.vdot(sectors, target)) ** 2 / norms, 0.0), 1.0)
     else:

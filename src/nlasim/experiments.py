@@ -143,7 +143,8 @@ def _misfire_table(alpha, arms, eta, gamma, cutoff, gain) -> TableResult:
     first, second = misfire_terms(alpha, arms, eta, gamma, cutoff)
     accept = rho.trace
     mixed_purity = purity(rho)
-    term_overlap = fidelity(first, second)
+    # a vacuum input has no misfire branch: nan, as for a zero output
+    term_overlap = math.nan if norm_sq(second) == 0.0 else fidelity(first, second)
     fid = fidelity(rho, coherent_state(gain * alpha, cutoff))
     diag = (rho.factor * rho.factor.conj()).real.sum(axis=1) / accept
     rows = [

@@ -28,6 +28,10 @@ import numpy as np
 
 from .fock import MultiModeState, _pure
 
+#: Largest cutoff a loss takes: the binomial sqrt(C(n, n // 2)) of n = 2,054
+#: photons exceeds the largest float64, whatever the transmission.
+MAX_LOSS_CUTOFF = 2054
+
 
 def _mix_rows(matrix: np.ndarray, t: float, a: int, b: int) -> None:
     """Apply a beamsplitter of transmissivity ``t`` on the ordered pair
@@ -44,9 +48,10 @@ def _mix_rows(matrix: np.ndarray, t: float, a: int, b: int) -> None:
     matrix[b] = c * row_b - s * row_a
 
 
-def _loss_weights(epsilon: float, cutoff: int) -> np.ndarray:
-    """Loss amplitudes w[k, a] = sqrt(C(a + k, k)) (1-eps)**(k/2) eps**(a/2)
-    of a input photons kept and k lost, zero where a + k >= cutoff.
+def _lose(amps: np.ndarray, epsilon: float) -> np.ndarray:
+    """Loss through transmission ``epsilon`` on the last axis of ``amps``:
+    out[..., k, a] = amps[..., a + k] sqrt(C(a + k, k)) (1-eps)**(k/2)
+    eps**(a/2) for a photons kept and k lost, zero where a + k >= cutoff.
 
     The binomial comes from log factorials L, which cannot overflow as
     float(C(n, k)) does past n ~ 1030; L[k] + L[a] is symmetric in k and
@@ -55,15 +60,24 @@ def _loss_weights(epsilon: float, cutoff: int) -> np.ndarray:
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
+    cutoff = amps.shape[-1]
+    if cutoff > MAX_LOSS_CUTOFF:
+        raise ValueError(f"loss binomials overflow above cutoff {MAX_LOSS_CUTOFF:,}")
     photons = np.arange(cutoff)
-    kept, lost = math.sqrt(epsilon) ** photons, math.sqrt(1.0 - epsilon) ** photons
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(photons[1:]))))
+    kept, lost = math.sqrt(epsilon) ** photons, math.sqrt(1.0 - epsilon) ** photons
     total = np.add.outer(photons, photons)
     inside = total < cutoff
     binom = np.exp(
         0.5 * (log_fact[np.where(inside, total, 0)] - np.add.outer(log_fact, log_fact))
     )
-    return np.where(inside, binom * np.multiply.outer(lost, kept), 0.0)
+    weights = np.where(inside, binom * np.multiply.outer(lost, kept), 0.0)
+    del binom  # freed before the gather, which holds the c**2 amplitudes
+    # amps[..., a + k] from the amplitudes padded with zeros past the cutoff
+    zeros = np.zeros(amps.shape[:-1] + (cutoff - 1,), dtype=amps.dtype)
+    out = np.concatenate((amps, zeros), axis=-1)[..., total]
+    out *= weights
+    return out
 
 
 def loss_channel(state, epsilon: float, mode: int = 0) -> MultiModeState:
@@ -77,13 +91,6 @@ def loss_channel(state, epsilon: float, mode: int = 0) -> MultiModeState:
     mm = _pure(state)
     if not 0 <= mode < mm.n_modes:
         raise ValueError(f"mode {mode} out of range")
-    cutoff = mm.mode_cutoffs[mode]
-    weights = _loss_weights(epsilon, cutoff)
-    amps = np.moveaxis(mm.amplitudes, mode, -1)
-    # laid out (environment, other modes, mode): each k fills one slab
-    out = np.zeros((cutoff,) + amps.shape, dtype=np.complex128)
-    for k in range(cutoff):
-        # inputs n = k..cutoff-1 that lose k photons
-        out[k, ..., : cutoff - k] = amps[..., k:] * weights[k, : cutoff - k]
-    out = np.moveaxis(np.moveaxis(out, 0, -1), -2, mode)
-    return MultiModeState(mm.mode_cutoffs + (cutoff,), out)
+    # laid out (other modes, environment, mode): move the kept photons back
+    out = np.moveaxis(_lose(np.moveaxis(mm.amplitudes, mode, -1), epsilon), -1, mode)
+    return MultiModeState(out.shape, out)

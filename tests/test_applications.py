@@ -279,16 +279,28 @@ class TestSectorRoute:
         assert report.v_plus == pytest.approx(v_plus, rel=1e-13)
 
     def test_calls_no_dense_stage(self, monkeypatch):
+        # no three-mode purification is built: the ideal map may only run
+        # on the (environment, arm A) sector amplitudes
         def refuse(*args, **kwargs):
             raise AssertionError("a dense stage ran")
 
-        for name in ("loss_channel", "nla_apply", "nla_apply_asymptotic",
-                     "partial_trace", "fidelity"):
+        ideal_map = nlasim.applications.nla_apply_asymptotic
+        shapes = []
+
+        def on_sectors_only(state, gain, mode=0):
+            shapes.append(state.mode_cutoffs)
+            return ideal_map(state, gain, mode)
+
+        for name in ("loss_channel", "nla_apply", "partial_trace", "fidelity"):
             monkeypatch.setattr(nlasim.applications, name, refuse)
+        monkeypatch.setattr(
+            nlasim.applications, "nla_apply_asymptotic", on_sectors_only
+        )
         for arms in (2, None):
             rho, _ = distill_numeric(0.3, 0.5, arms, 0.1, 24)
             purity_product(rho)
         purity_product(lossy_epr(0.3, 0.5, 24))
+        assert shapes == [(24, 24)]
 
     def test_nonconvergent_case_matches_dense_composition(self):
         # gain 2 on a lossless line: chi' = 1.2

@@ -119,6 +119,17 @@ class TestAmplify:
         probs = [float(l.split(",")[cols.index("prob_n")]) for l in lines[1:]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", ["0", "1e-200"])
+    def test_misfire_of_vacuum_input(self, alpha, capsys):
+        # the misfire branch is zero, so it has no fidelity to report
+        argv = ["amplify", "--alpha", alpha, "--gamma", "0.01"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert err == ""
+        lines = [l for l in out.splitlines() if not l.startswith("#")]
+        column = lines[0].split(",").index("term_fidelity")
+        assert all(math.isnan(float(l.split(",")[column])) for l in lines[1:])
+
     def test_misfire_needs_coherent_input(self, capsys):
         code, _, err = run_cli(["amplify", "--fock", "1", "--gamma", "0.01"], capsys)
         assert code == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,14 +13,39 @@ from nlasim import (
     epr_state,
     fidelity,
     loss_channel,
+    nla_apply,
     norm_sq,
     number_state,
     partial_trace,
     tensor,
     vacuum,
 )
-from nlasim.optics import _mix_rows
+from nlasim.optics import MAX_LOSS_CUTOFF, _mix_rows
 from conftest import beamsplitter, even_splitter, random_fock, random_multimode
+
+
+def slab_loss(state, epsilon, mode=0):
+    """The loss filled slab by slab, one slab per number k of lost photons,
+    with weights w[k, a] = sqrt(C(a + k, k)) (1-eps)**(k/2) eps**(a/2)
+    from log factorials: the reference the one-gather kernel replaced."""
+    cutoff = state.mode_cutoffs[mode]
+    photons = np.arange(cutoff)
+    kept = math.sqrt(epsilon) ** photons
+    lost = math.sqrt(1.0 - epsilon) ** photons
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(photons[1:]))))
+    total = np.add.outer(photons, photons)
+    inside = total < cutoff
+    binom = np.exp(
+        0.5 * (log_fact[np.where(inside, total, 0)] - np.add.outer(log_fact, log_fact))
+    )
+    weights = np.where(inside, binom * np.multiply.outer(lost, kept), 0.0)
+    amps = np.moveaxis(state.amplitudes, mode, -1)
+    # laid out (environment, other modes, mode): each k fills one slab
+    out = np.zeros((cutoff,) + amps.shape, dtype=np.complex128)
+    for k in range(cutoff):
+        # inputs n = k..cutoff-1 that lose k photons
+        out[k, ..., : cutoff - k] = amps[..., k:] * weights[k, : cutoff - k]
+    return np.moveaxis(np.moveaxis(out, 0, -1), -2, mode)
 
 
 class TestBeamsplitter:
@@ -91,6 +117,17 @@ class TestBeamsplitter:
         with pytest.raises(TruncationError):
             beamsplitter(state, 0.5, (0, 1))
 
+    @pytest.mark.parametrize("cutoff", range(1, 41))
+    def test_matches_slab_reference(self, rng, cutoff):
+        # one mode at this cutoff among up to two small ones; every mode loses
+        for eps in (0.0, 0.5, 1.0, float(rng.uniform())):
+            n_modes = int(rng.integers(1, 4))
+            cutoffs = [cutoff] + [int(c) for c in rng.integers(1, 6, size=n_modes - 1)]
+            state = random_multimode(rng, tuple(rng.permutation(cutoffs)))
+            for mode in range(n_modes):
+                out = loss_channel(state, eps, mode).amplitudes
+                assert np.array_equal(out, slab_loss(state, eps, mode)), (eps, mode)
+
     def test_mode_validation(self, rng):
         state = random_multimode(rng, (3, 3))
         for mode in (-1, 2):
@@ -131,6 +168,45 @@ class TestLossAtLargeCutoff:
             got = out[n - k, n, k]
             assert got.imag == 0.0
             assert abs(got.real / math.exp(log_want) - 1.0) <= 1e-12, (n, k)
+
+    def test_clone_split_fits_its_byte_bound(self):
+        # clone_coherent refuses a split above 48 bytes a level pair
+        cutoff = 1100
+        amplified = nla_apply(coherent_state(20, cutoff), 5, 1.0 / 3.0)
+        tracemalloc.start()
+        try:
+            loss_channel(amplified, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * cutoff**2
+
+    def test_cutoff_limit_is_where_the_binomial_overflows(self):
+        def log_peak(n):  # log sqrt(C(n, n // 2)), the largest binomial of n
+            half = n // 2
+            rest = math.lgamma(half + 1) + math.lgamma(n - half + 1)
+            return 0.5 * (math.lgamma(n + 1) - rest)
+
+        # a cutoff c holds up to c - 1 photons
+        top = math.log(np.finfo(np.float64).max)
+        assert log_peak(MAX_LOSS_CUTOFF - 1) < top < log_peak(MAX_LOSS_CUTOFF)
+
+    @pytest.mark.filterwarnings("error")
+    def test_binomial_overflow_refused_before_allocating(self):
+        state = vacuum(2055)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="above cutoff 2,054"):
+                loss_channel(state, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_cutoff_runs(self):
+        out = loss_channel(vacuum(MAX_LOSS_CUTOFF), 0.5)
+        assert out.amplitudes[0, 0] == 1.0
 
     def test_balanced_split_against_vacuum_is_mirror_symmetric(self, rng):
         # both clones of a 50:50 split must agree to the last bit
