@@ -13,7 +13,6 @@ from .errors import (
 from .fock import (
     DensityOperator,
     MultiModeState,
-    annihilation,
     coherent_state,
     density_from_state,
     epr_state,
@@ -60,7 +59,6 @@ __all__ = [
     "TruncationWarning",
     "DensityOperator",
     "MultiModeState",
-    "annihilation",
     "coherent_state",
     "density_from_state",
     "epr_state",

@@ -19,6 +19,7 @@ from .applications import (
     purity_product,
 )
 from .fock import (
+    MultiModeState,
     _coherent_cutoff,
     _epr_cutoff,
     _refuse_above,
@@ -33,7 +34,6 @@ from .nla import (
     eta_from_gain,
     gain_from_eta,
     misfire_density,
-    misfire_terms,
     nla_apply,
     nla_apply_asymptotic,
 )
@@ -140,7 +140,10 @@ def amplify_table(
 
 def _misfire_table(alpha, arms, eta, gamma, cutoff, gain) -> TableResult:
     rho = misfire_density(alpha, arms, eta, gamma, cutoff)
-    first, second = misfire_terms(alpha, arms, eta, gamma, cutoff)
+    # the factor's columns are the two branches
+    first, second = (
+        MultiModeState(rho.basis_cutoffs, branch) for branch in rho.factor.T
+    )
     accept = rho.trace
     mixed_purity = purity(rho)
     # a vacuum input has no misfire branch: nan, as for a zero output

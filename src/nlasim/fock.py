@@ -23,19 +23,22 @@ NORM_TOL = 1e-12
 DEFAULT_TAIL_TOL = 1e-12
 
 
-def _frozen_array(values, dtype=np.complex128) -> np.ndarray:
-    """A read-only C-ordered copy of ``values``. An array that is already
-    read-only, C-ordered, of this dtype and owner of its data cannot
-    change under the caller, so it is kept as it is."""
+def _frozen_array(values) -> np.ndarray:
+    """A read-only C-ordered complex array of ``values``.
+
+    A complex array that is already read-only, C-ordered and owner of its
+    data is taken over as it is, not copied; anything else is copied.
+    Numpy lets the owner turn writing back on, and writing into an array
+    that a state has taken over breaks that state."""
     if (
         isinstance(values, np.ndarray)
-        and values.dtype == dtype
+        and values.dtype == np.complex128
         and values.base is None
         and not values.flags.writeable
         and values.flags.c_contiguous
     ):
         return values
-    arr = np.array(values, dtype=dtype, order="C")
+    arr = np.array(values, dtype=np.complex128, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -303,13 +306,6 @@ def _refuse_above(nbytes: int, limit: int, what: str, remedy: str) -> None:
             f"{what} would take {math.ceil(nbytes / 2**20)} MiB, above the "
             f"{limit // 2**20} MiB limit; {remedy}"
         )
-
-
-def annihilation(cutoff: int) -> np.ndarray:
-    """Matrix of the annihilation operator a at the given cutoff."""
-    return np.diag(np.sqrt(np.arange(1, cutoff, dtype=np.float64)), k=1).astype(
-        np.complex128
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,16 @@ success probability.
 ``physical_circuit`` re-derives all of this from the circuit itself:
 beamsplitters, single-photon ancillas and projective detection; it is the
 oracle the closed form is tested against. The circuit is linear optics, so
-it is one 3N x 3N mode matrix, and each heralded amplitude is a permanent
-of a submatrix of it (Scheel, quant-ph/0406127). A click pattern only picks
-the clicked rows and the signs that form the kept output row, so all 2**N
-patterns are evaluated in one batched Ryser pass.
+it is one 3N x 3N mode matrix. Each click pattern heralds a diagonal map
+|n> -> c_n |n>, and each c_n is a permanent of a submatrix of the mode
+matrix over n! (Scheel, quant-ph/0406127). A click pattern only picks the
+clicked rows and the signs that form the kept output row, so one batched
+Ryser pass returns the coefficients of all 2**N patterns, one column per
+pattern; the input's amplitudes multiply them only afterwards.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 
@@ -66,11 +67,9 @@ def nla_operator(arm_count: int, eta: float, cutoff: int) -> np.ndarray:
     """
     if arm_count < 1:
         raise ValueError("arm_count must be >= 1")
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
+    g = gain_from_eta(eta)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    g = gain_from_eta(eta)
     coeffs = np.zeros(cutoff)
     top = min(arm_count, cutoff - 1)
     for n in range(top + 1):
@@ -172,49 +171,49 @@ def _circuit_matrix(arm_count: int, eta: float) -> np.ndarray:
     return u
 
 
-def _heralded_outputs(inp: MultiModeState, arm_count: int, eta: float) -> dict:
-    """Unnormalized output of every detector pattern, from permanents.
+def _pattern_coefficients(arm_count: int, eta: float, top: int) -> np.ndarray:
+    """Diagonal coefficients of every detector pattern, from permanents.
 
-    ``signs[i] = +1`` heralds on one click at arm i's port and -1 on one
-    at its ancilla port, the latter followed by the pi feed-forward on the
-    kept mode. After the inverse splitter only the kept mode o_0 may hold
-    light, so photon number conservation makes each pattern diagonal,
-    |n> -> c_n |n> with c_n = perm(A_n) / n!. A_n takes the rows [o_0]*n
-    plus the clicked modes of the mode matrix, and the columns [arm 0]*n
-    plus the ancillas.
+    Column p is one pattern, in ``itertools.product((+1, -1), repeat=N)``
+    order (column 0 is all +1). ``signs[i] = +1`` heralds on one click at
+    arm i's port and -1 on one at its ancilla port, the latter followed by
+    the pi feed-forward on the kept mode. After the inverse splitter only
+    the kept mode o_0 may hold light, so photon number conservation makes
+    each pattern diagonal, |n> -> c_n |n> with c_n = perm(A_n) / n!, and
+    row n holds c_n for n = 0..top. A_n takes the rows [o_0]*n plus the
+    clicked modes of the mode matrix, and the columns [arm 0]*n plus the
+    ancillas. Each column times sqrt(2**N) is ``nla_operator`` to rounding.
 
-    All 2**N patterns share one pass. The feed-forward and the inverse
+    All 2**N patterns share one pass, and one bit table gives both their
+    signs and the Ryser subsets. The feed-forward and the inverse
     splitter act on the kept rows alone, so the clicked rows are rows of
     the circuit matrix and o_0 = sum_i w_i signs[i] kept_i, with w the
     first row of the inverse splitter. The kept rows hold exact zeros in
-    the arm columns, because only ancilla light reaches them; so inputs
-    above N photons go exactly dark and c_n is computed up to
-    min(support, N). Ryser's formula then runs over the ancilla subsets S
-    and the number k of arm-0 copies taken with them. With r(S) a row's
-    sum over S and f_S(k) the product over the clicked rows of
-    r(S) + k r[arm 0], the binomial sum over k is the n-th forward
-    difference of f_S, which is n! b_n(S) when b_m(S) is the coefficient
-    of f_S on the falling factorial k (k-1) ... (k-m+1). So
+    the arm columns, because only ancilla light reaches them; so c_n = 0
+    exactly above N and ``top`` need not exceed N. Ryser's formula then
+    runs over the ancilla subsets S and the number k of arm-0 copies
+    taken with them. With r(S) a row's sum over S and f_S(k) the product
+    over the clicked rows of r(S) + k r[arm 0], the binomial sum over k
+    is the n-th forward difference of f_S, which is n! b_n(S) when b_m(S)
+    is the coefficient of f_S on the falling factorial k (k-1) ... (k-m+1).
+    So
 
         c_n = (-1)**N sum_S (-1)**|S| o_0(S)**n b_n(S),
 
     and the b_m(S) follow from one product per clicked row, with no
-    alternating binomial sum to lose digits. Returns {signs: amplitudes},
-    padded to the input cutoff, in ``itertools.product((+1, -1), repeat=N)``
-    order.
+    alternating binomial sum to lose digits.
     """
     n = arm_count
-    amps = inp.amplitudes
-    live = np.flatnonzero(amps)
-    top = min(int(live[-1]) if live.size else 0, n)
     detected = _circuit_matrix(n, eta)
     inverse = np.eye(n)
     for k in range(n - 1, 0, -1):
         _mix_rows(inverse, 1.0 / (n - k + 1), k - 1, k)
-    patterns = list(itertools.product((+1, -1), repeat=n))
-    signs = np.array(patterns, dtype=np.float64)
     arms = np.arange(n)
-    subsets = ((np.arange(2**n)[:, None] >> arms) & 1).astype(np.float64)
+    bits = (np.arange(2**n)[:, None] >> arms) & 1
+    # read from the most significant end, the bits give the signs in
+    # itertools.product order
+    signs = 1.0 - 2.0 * bits[:, ::-1]
+    subsets = bits.astype(np.float64)
     # o_0(S) per pattern, and per arm and pattern the clicked row, whose
     # arm-0 entry is the slope of its Ryser sum in k
     o_sums = (signs * inverse[0]) @ detected[n : 2 * n, 2 * n :] @ subsets.T
@@ -230,14 +229,12 @@ def _heralded_outputs(inp: MultiModeState, arm_count: int, eta: float) -> dict:
         falling *= row[:, 2 * n :] @ subsets.T + orders * slope
         falling[1:] += carry
     # (-1)**N (-1)**|S| o_0(S)**photons
-    power = (-1) ** n * (1 - 2 * (subsets.sum(axis=1) % 2))
-    coeffs = np.empty((top + 1, len(patterns)))
+    power = (-1) ** n * (1 - 2 * (bits.sum(axis=1) % 2))
+    coeffs = np.empty((top + 1, 2**n))
     for photons in range(top + 1):
         coeffs[photons] = (power * falling[photons]).sum(axis=-1)
         power = power * o_sums
-    out = np.zeros((len(patterns), inp.mode_cutoffs[0]), dtype=np.complex128)
-    out[:, : top + 1] = amps[: top + 1] * coeffs.T
-    return dict(zip(patterns, out))
+    return coeffs
 
 
 def physical_circuit(
@@ -253,7 +250,7 @@ def physical_circuit(
     subcircuit (ancilla beamsplitter, 50:50 mix, projective detection on
     both ports), recombines through the inverse splitter and projects the
     non-output ports on vacuum. Each click pattern's amplitudes are
-    permanents of the circuit's mode matrix (see ``_heralded_outputs``).
+    permanents of the circuit's mode matrix (see ``_pattern_coefficients``).
     All 2**N accepted patterns are summed; after feed-forward they herald
     the same pure state, returned with squared norm equal to the total
     success probability.
@@ -271,17 +268,21 @@ def physical_circuit(
     if norm_sq(inp) <= 0.0:
         raise ValueError("input state has zero norm")
 
-    outputs = _heralded_outputs(inp, arm_count, eta)
-    probs = {signs: float(np.vdot(out, out).real) for signs, out in outputs.items()}
+    amps = inp.amplitudes
+    live = np.flatnonzero(amps)
+    top = min(int(live[-1]), arm_count)
+    coeffs = _pattern_coefficients(arm_count, eta, top)
+    outputs = np.zeros((2**arm_count, amps.size), dtype=np.complex128)
+    outputs[:, : top + 1] = amps[: top + 1] * coeffs.T
     total = 0.0
     # plain left-to-right addition in pattern order (sum() compensates on
     # Python >= 3.12, which would move the last bits)
-    for prob in probs.values():
-        total += prob
-    ref = (+1,) * arm_count
-    ref_out, ref_prob = outputs[ref], probs[ref]
+    for out in outputs:
+        total += float(np.vdot(out, out).real)
+    # the all-plus pattern, column 0
+    ref_prob = float(np.vdot(outputs[0], outputs[0]).real)
     scale = math.sqrt(total / ref_prob) if ref_prob > 0.0 else 0.0
-    return MultiModeState(inp.mode_cutoffs, ref_out * scale)
+    return MultiModeState(inp.mode_cutoffs, outputs[0] * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from nlasim import DensityOperator, MultiModeState, TruncationError, annihilation
+from nlasim import DensityOperator, MultiModeState, TruncationError
 
 
 @pytest.fixture
@@ -51,6 +51,13 @@ def random_density(rng, cutoffs, rank=3) -> DensityOperator:
 # ---------------------------------------------------------------------------
 # Fock-space plumbing for the reference routes; the library itself works on
 # mode matrices where these would be needed
+
+
+def annihilation(cutoff: int) -> np.ndarray:
+    """Matrix of the annihilation operator a at the given cutoff."""
+    return np.diag(np.sqrt(np.arange(1, cutoff, dtype=np.float64)), k=1).astype(
+        np.complex128
+    )
 
 
 @lru_cache(maxsize=256)

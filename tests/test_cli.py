@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlasim.experiments
 import nlasim.nla
 from nlasim.cli import main
 from nlasim.experiments import (
@@ -129,6 +130,24 @@ class TestAmplify:
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         column = lines[0].split(",").index("term_fidelity")
         assert all(math.isnan(float(l.split(",")[column])) for l in lines[1:])
+
+    def test_misfire_branches_are_computed_once(self, monkeypatch, capsys):
+        # the table reads both branches off the mixture's factor
+        calls = []
+        original = nlasim.nla.misfire_terms
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nlasim.nla, "misfire_terms", counting)
+        monkeypatch.setattr(
+            nlasim.experiments, "misfire_terms", counting, raising=False
+        )
+        argv = ["amplify", "--alpha", "0.3", "--arms", "5", "--gamma", "0.01"]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_misfire_needs_coherent_input(self, capsys):
         code, _, err = run_cli(["amplify", "--fock", "1", "--gamma", "0.01"], capsys)
