@@ -14,7 +14,6 @@ from .fock import (
     DensityOperator,
     MultiModeState,
     coherent_state,
-    density_from_state,
     epr_state,
     fidelity,
     minimal_coherent_cutoff,
@@ -22,8 +21,6 @@ from .fock import (
     norm_sq,
     normalize,
     number_state,
-    partial_trace,
-    purity,
     tensor,
     vacuum,
 )
@@ -31,7 +28,6 @@ from .optics import loss_channel
 from .nla import (
     eta_from_gain,
     gain_from_eta,
-    misfire_density,
     misfire_terms,
     nla_apply,
     nla_apply_asymptotic,
@@ -45,7 +41,6 @@ from .applications import (
     clone_fidelities,
     distill_numeric,
     distill_params,
-    lossy_epr,
     postselected_prior_variance,
     purity_product,
     sample_postselected_variance,
@@ -60,7 +55,6 @@ __all__ = [
     "DensityOperator",
     "MultiModeState",
     "coherent_state",
-    "density_from_state",
     "epr_state",
     "fidelity",
     "minimal_coherent_cutoff",
@@ -68,14 +62,11 @@ __all__ = [
     "norm_sq",
     "normalize",
     "number_state",
-    "partial_trace",
-    "purity",
     "tensor",
     "vacuum",
     "loss_channel",
     "eta_from_gain",
     "gain_from_eta",
-    "misfire_density",
     "misfire_terms",
     "nla_apply",
     "nla_apply_asymptotic",
@@ -87,7 +78,6 @@ __all__ = [
     "clone_fidelities",
     "distill_numeric",
     "distill_params",
-    "lossy_epr",
     "postselected_prior_variance",
     "purity_product",
     "sample_postselected_variance",

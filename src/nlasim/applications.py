@@ -15,13 +15,12 @@ from .fock import (
     MultiModeState,
     _coherent_cutoff,
     _epr_cutoff,
+    _factor,
     _refuse_above,
     coherent_state,
-    density_from_state,
     epr_state,
     fidelity,
     norm_sq,
-    partial_trace,
 )
 from .nla import (
     _gain_squared,
@@ -66,14 +65,16 @@ def distill_params(chi: float, epsilon: float, gain: float) -> EffectiveEprParam
         chi' = chi * sqrt(1 + (g**2 - 1) * eps)
         eps' = g**2 * eps / (1 + (g**2 - 1) * eps)
 
-    Unphysical requests (chi' >= 1) are flagged, not raised.
+    Unphysical requests (chi' >= 1) are flagged, not raised. The boost is
+    summed as (1 - eps) + g**2 eps, two nonnegative terms, so a lossless
+    line keeps eps' = 1 exactly.
     """
     if not 0.0 <= chi < 1.0:
         raise ValueError("chi must lie in [0, 1)")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
     gain_sq = _gain_squared(gain)
-    boost = 1.0 + (gain_sq - 1.0) * epsilon
+    boost = (1.0 - epsilon) + gain_sq * epsilon
     chi_prime = chi * math.sqrt(boost)
     eps_prime = gain_sq * epsilon / boost
     return EffectiveEprParams(chi_prime, eps_prime, chi_prime < 1.0)
@@ -92,8 +93,8 @@ def _lossy_sectors(chi: float, epsilon: float, cutoff: int) -> np.ndarray:
 
 def _sector_density(sectors: np.ndarray) -> DensityOperator:
     """rho_AB = sum_k |v_k><v_k| with v_k = sum_a G[k, a] |a>|a + k>: the
-    factor F[a c + a + k, k] = G[k, a], as partial_trace lays out the
-    purification with the loss mode traced."""
+    factor F[a c + a + k, k] = G[k, a], the purification's amplitudes with
+    the loss mode as the factor's column index."""
     cutoff = sectors.shape[0]
     k, a = np.nonzero(sectors)
     factor = np.zeros((cutoff * cutoff, cutoff), dtype=np.complex128)
@@ -101,12 +102,6 @@ def _sector_density(sectors: np.ndarray) -> DensityOperator:
     # read-only, so the operator keeps it rather than copying 16 c**3 bytes
     factor.setflags(write=False)
     return DensityOperator((cutoff, cutoff), factor)
-
-
-def lossy_epr(chi: float, epsilon: float, cutoff: int) -> DensityOperator:
-    """Two-mode squeezed state with one arm sent through transmission
-    ``epsilon``; the analytic target of the distillation pipeline."""
-    return _sector_density(_lossy_sectors(chi, epsilon, cutoff))
 
 
 #: Largest loss purification a run may allocate, in bytes. A distillation
@@ -214,10 +209,14 @@ def clone_coherent(
 
 
 def clone_fidelities(pair: MultiModeState, alpha: complex) -> tuple[float, float]:
-    """Fidelity of each reduced clone against the ideal coherent state."""
+    """Fidelity of each reduced clone against the ideal coherent state.
+
+    The pair's amplitudes are the factor of the first clone's reduced
+    state, and their transpose that of the second."""
     target = coherent_state(alpha)
-    rho_a = partial_trace(pair, [1])
-    rho_b = partial_trace(pair, [0])
+    amps = pair.amplitudes
+    rho_a = DensityOperator(pair.mode_cutoffs[:1], amps)
+    rho_b = DensityOperator(pair.mode_cutoffs[1:], amps.T)
     return fidelity(rho_a, target), fidelity(rho_b, target)
 
 
@@ -302,17 +301,16 @@ def purity_product(state) -> PurityReport:
     slice of itself. They keep the truncated operators' algebra: in a
     basis cut at c, a a+ = a+ a + 1 - c |c-1><c-1|.
     """
-    if isinstance(state, DensityOperator):
-        rho = state
-    else:
-        rho = density_from_state(state)
-    if rho.n_modes != 2:
+    factor, cutoffs = _factor(state)
+    if len(cutoffs) != 2:
         raise ValueError("purity product is defined for two-mode states")
-    success = rho.trace
-    ca, cb = rho.basis_cutoffs
+    success = float(np.vdot(factor, factor).real)
+    if success <= 0.0:
+        raise ValueError("purity product of a zero-norm state")
+    ca, cb = cutoffs
     # real and imaginary parts interleaved on the last axis: the real part
     # of sum_r conj(x) y is the plain dot of two such rows
-    flat = rho.factor.reshape(ca, cb, -1).view(np.float64)
+    flat = factor.reshape(ca, cb, -1).view(np.float64)
     real, imag = flat[..., 0::2], flat[..., 1::2]
     root_a, root_b = np.sqrt(np.arange(1, ca)), np.sqrt(np.arange(1, cb))
     one_a, one_b = np.ones(ca), np.ones(cb)

@@ -19,7 +19,7 @@ from .applications import (
     purity_product,
 )
 from .fock import (
-    MultiModeState,
+    DensityOperator,
     _coherent_cutoff,
     _epr_cutoff,
     _refuse_above,
@@ -28,12 +28,11 @@ from .fock import (
     fidelity,
     norm_sq,
     number_state,
-    purity,
 )
 from .nla import (
     eta_from_gain,
     gain_from_eta,
-    misfire_density,
+    misfire_terms,
     nla_apply,
     nla_apply_asymptotic,
 )
@@ -139,13 +138,14 @@ def amplify_table(
 
 
 def _misfire_table(alpha, arms, eta, gamma, cutoff, gain) -> TableResult:
-    rho = misfire_density(alpha, arms, eta, gamma, cutoff)
-    # the factor's columns are the two branches
-    first, second = (
-        MultiModeState(rho.basis_cutoffs, branch) for branch in rho.factor.T
-    )
+    first, second = misfire_terms(alpha, arms, eta, gamma, cutoff)
+    # the mixture's factor has one column per branch; its trace is the
+    # acceptance, and its purity ||F+ F||**2 / tr**2
+    factor = np.stack([first.amplitudes, second.amplitudes], axis=1)
+    rho = DensityOperator(first.mode_cutoffs, factor)
     accept = rho.trace
-    mixed_purity = purity(rho)
+    gram = rho.factor.conj().T @ rho.factor
+    mixed_purity = float(np.vdot(gram, gram).real) / accept**2
     # a vacuum input has no misfire branch: nan, as for a zero output
     term_overlap = math.nan if norm_sq(second) == 0.0 else fidelity(first, second)
     fid = fidelity(rho, coherent_state(gain * alpha, cutoff))

@@ -121,18 +121,9 @@ class DensityOperator:
             raise ValueError(f"trace {tr} outside (0, 1]")
 
     @property
-    def n_modes(self) -> int:
-        return len(self.basis_cutoffs)
-
-    @property
     def trace(self) -> float:
         flat = self.factor.reshape(-1)
         return float(np.vdot(flat, flat).real)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense rho = F F+, built on each access."""
-        return self.factor @ self.factor.conj().T
 
     def __repr__(self):
         return (
@@ -309,7 +300,7 @@ def _refuse_above(nbytes: int, limit: int, what: str, remedy: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# composition and reduction
+# composition
 
 
 def _pure(state) -> MultiModeState:
@@ -323,32 +314,6 @@ def tensor(a, b) -> MultiModeState:
     ma, mb = _pure(a), _pure(b)
     amps = np.multiply.outer(ma.amplitudes, mb.amplitudes)
     return MultiModeState(ma.mode_cutoffs + mb.mode_cutoffs, amps)
-
-
-def density_from_state(state) -> DensityOperator:
-    """|psi><psi| over the flattened multimode basis."""
-    mm = _pure(state)
-    return DensityOperator(mm.mode_cutoffs, mm.amplitudes.reshape(-1, 1))
-
-
-def partial_trace(state, modes_to_trace) -> DensityOperator:
-    """Reduced density operator of a pure state after tracing out
-    ``modes_to_trace``.
-
-    Tracing nothing gives |psi><psi|; tracing every mode is rejected. The
-    trace equals the squared norm up to rounding.
-    """
-    mm = _pure(state)
-    n_modes = mm.n_modes
-    traced = sorted(set(int(m) for m in modes_to_trace))
-    if any(not 0 <= m < n_modes for m in traced):
-        raise ValueError(f"mode indices {traced} out of range for {n_modes} modes")
-    if len(traced) == n_modes:
-        raise ValueError("cannot trace out every mode")
-    kept_idx = [i for i in range(n_modes) if i not in traced]
-    kept = tuple(mm.mode_cutoffs[i] for i in kept_idx)
-    block = np.transpose(mm.amplitudes, kept_idx + traced).reshape(math.prod(kept), -1)
-    return DensityOperator(kept, block)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +332,6 @@ def normalize(state) -> MultiModeState:
     if n2 <= 0.0:
         raise ValueError("cannot normalize a zero state")
     return MultiModeState(state.mode_cutoffs, state.amplitudes / math.sqrt(n2))
-
-
-def purity(rho: DensityOperator) -> float:
-    """Tr[rho_hat**2] of the trace-normalized operator, ||F+ F||**2 / tr**2."""
-    gram = rho.factor.conj().T @ rho.factor
-    return float(np.vdot(gram, gram).real) / rho.trace**2
 
 
 def _factor(state) -> tuple[np.ndarray, tuple]:

@@ -32,7 +32,7 @@ import warnings
 import numpy as np
 
 from .errors import NonconvergentError
-from .fock import DensityOperator, MultiModeState, _pure, _squared_modulus, norm_sq
+from .fock import MultiModeState, _pure, _squared_modulus, norm_sq
 from .optics import _mix_rows
 
 #: Largest arm count the brute-force circuit will simulate by default.
@@ -47,11 +47,14 @@ def gain_from_eta(eta: float) -> float:
 
 
 def _gain_squared(gain: float) -> float:
-    """g**2 of a positive gain; a gain whose square is not finite is
-    rejected rather than left to overflow."""
+    """g**2 of a positive gain; a gain whose square is not finite or is 0
+    is rejected rather than left to overflow or to divide by zero."""
     if gain <= 0.0:
         raise ValueError("gain must be positive")
-    return _squared_modulus(gain, "gain")
+    squared = _squared_modulus(gain, "gain")
+    if squared == 0.0:
+        raise ValueError(f"gain {gain:.6g} has no nonzero finite square")
+    return squared
 
 
 def eta_from_gain(gain: float) -> float:
@@ -334,21 +337,3 @@ def misfire_terms(
         math.sqrt(gamma) * abs(alpha) * eta ** ((arm_count - 1) / 2.0),
     )
     return first, second
-
-
-def misfire_density(
-    alpha: complex,
-    arm_count: int,
-    eta: float,
-    gamma: float,
-    cutoff: int | None = None,
-) -> DensityOperator:
-    """First-order output mixture for source efficiency 1 - gamma.
-
-    The trace of the unnormalized operator is the acceptance probability
-    to first order in gamma; at gamma = 0 the fully heralded pure state is
-    recovered exactly.
-    """
-    first, second = misfire_terms(alpha, arm_count, eta, gamma, cutoff)
-    factor = np.stack([first.amplitudes, second.amplitudes], axis=1)
-    return DensityOperator(first.mode_cutoffs, factor)

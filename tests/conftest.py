@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from nlasim import DensityOperator, MultiModeState, TruncationError
+from nlasim import (
+    DensityOperator,
+    MultiModeState,
+    TruncationError,
+    epr_state,
+    loss_channel,
+)
 
 
 @pytest.fixture
@@ -46,6 +52,50 @@ def random_density(rng, cutoffs, rank=3) -> DensityOperator:
         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         columns.append(np.sqrt(w) * vec / np.linalg.norm(vec))
     return DensityOperator(tuple(cutoffs), np.stack(columns, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# generic density routes: the library builds a mixed state only from a
+# factor it already holds, and these are the references it is checked against
+
+
+def density_from_state(state) -> DensityOperator:
+    """|psi><psi| over the flattened multimode basis."""
+    return DensityOperator(state.mode_cutoffs, state.amplitudes.reshape(-1, 1))
+
+
+def partial_trace(state, modes_to_trace) -> DensityOperator:
+    """Reduced density operator of a pure state after tracing out
+    ``modes_to_trace``; its factor is the amplitude tensor laid out as kept
+    modes by traced modes. Tracing nothing gives |psi><psi|; tracing every
+    mode is rejected."""
+    n_modes = state.n_modes
+    traced = sorted(set(int(m) for m in modes_to_trace))
+    if any(not 0 <= m < n_modes for m in traced):
+        raise ValueError(f"mode indices {traced} out of range for {n_modes} modes")
+    if len(traced) == n_modes:
+        raise ValueError("cannot trace out every mode")
+    kept_idx = [i for i in range(n_modes) if i not in traced]
+    kept = tuple(state.mode_cutoffs[i] for i in kept_idx)
+    block = np.transpose(state.amplitudes, kept_idx + traced)
+    return DensityOperator(kept, block.reshape(math.prod(kept), -1))
+
+
+def dense(rho) -> np.ndarray:
+    """The dense matrix F F+ of a density operator."""
+    return rho.factor @ rho.factor.conj().T
+
+
+def purity(rho) -> float:
+    """Tr[rho_hat**2] of the trace-normalized operator, ||F+ F||**2 / tr**2."""
+    gram = rho.factor.conj().T @ rho.factor
+    return float(np.vdot(gram, gram).real) / rho.trace**2
+
+
+def lossy_epr(chi, epsilon, cutoff) -> DensityOperator:
+    """Two-mode squeezed state with arm A (mode 0) sent through transmission
+    ``epsilon``: the loss purification with its environment traced out."""
+    return partial_trace(loss_channel(epr_state(chi, cutoff), epsilon), [2])
 
 
 # ---------------------------------------------------------------------------

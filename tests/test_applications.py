@@ -20,12 +20,10 @@ from nlasim import (
     fidelity,
     gain_from_eta,
     loss_channel,
-    lossy_epr,
     nla_apply,
     nla_apply_asymptotic,
     nla_operator,
     norm_sq,
-    partial_trace,
     postselected_prior_variance,
     purity_product,
     sample_postselected_variance,
@@ -34,7 +32,7 @@ from nlasim import (
 )
 from nlasim.experiments import distill_table, fig4_table
 from nlasim.verification import _chi_squared_z
-from conftest import dense_purity_product
+from conftest import dense, dense_purity_product, lossy_epr, partial_trace
 
 
 class TestCloner:
@@ -61,7 +59,14 @@ class TestCloner:
         pair, _ = clone_coherent(0.4, 4, 1.0 / 3.0)
         rho_a = partial_trace(pair, [1])
         rho_b = partial_trace(pair, [0])
-        assert np.max(np.abs(rho_a.matrix - rho_b.matrix)) < 1e-12
+        assert np.max(np.abs(dense(rho_a) - dense(rho_b))) < 1e-12
+        # the 50:50 split is mirror-exact, so the two clones score the same
+        # to the last bit
+        for alpha in (0.0, 0.1, 0.4, 0.7 + 0.3j, 1.0, 1.5):
+            for arms in (1, 2, 3, 5, 7, None):
+                pair, _ = clone_coherent(alpha, arms, 1.0 / 3.0)
+                f1, f2 = clone_fidelities(pair, alpha)
+                assert f1 == f2, (alpha, arms)
 
 
 class TestPriorVariance:
@@ -110,9 +115,12 @@ class TestDistillParams:
         assert params.physical
 
     def test_lossless_limit_recovers_pure_gain_map(self):
-        params = distill_params(0.2, 1.0, 2.0)
-        assert params.chi_prime == pytest.approx(0.4, rel=1e-14)
-        assert params.eps_prime == pytest.approx(1.0, rel=1e-14)
+        # below unit gain, 1 + (g**2 - 1) * 1 used to round away from g**2:
+        # eps' just above 1, which the run then refused, or a boost of 0
+        for gain in (2.0, 1.0, 0.9, 0.5, 1e-9, *map(gain_from_eta, (0.67, 0.7, 0.97))):
+            params = distill_params(0.2, 1.0, gain)
+            assert params.chi_prime == pytest.approx(0.2 * gain, rel=1e-14)
+            assert params.eps_prime == 1.0
 
     def test_unphysical_flagged_not_raised(self):
         params = distill_params(0.6, 1.0, 2.0)
@@ -125,10 +133,11 @@ class TestDistillParams:
             with pytest.raises(ValueError, match="transmission"):
                 fig4_table(gains=[3.0], loss=bad_eps)
 
-    @pytest.mark.parametrize("gain", [1e160, 1e200, math.inf])
+    @pytest.mark.parametrize("gain", [1e160, 1e200, math.inf, 1e-200])
     def test_gain_without_finite_square_rejected(self, gain):
         # a ValueError wherever the gain enters, not the OverflowError of
-        # gain**2 (or, for inf, a silent eta of 0)
+        # gain**2 (or, for inf, a silent eta of 0; for a square that
+        # underflows to 0, a division by zero or an eta of 1)
         for call in (
             lambda: eta_from_gain(gain),
             lambda: distill_params(0.1, 0.5, gain),
@@ -167,7 +176,7 @@ class TestDistillNumeric:
         cutoff = 24
         rho, _ = distill_numeric(chi, eps, arms, eta, cutoff)
         marginal = partial_trace(loss_channel(epr_state(chi, cutoff), eps), [1, 2])
-        weights = np.diag(marginal.matrix).real
+        weights = np.diag(dense(marginal)).real
         coeffs = nla_operator(arms, eta, cutoff)
         want = float(np.sum(weights * coeffs**2))
         assert rho.trace == pytest.approx(want, rel=1e-10)
@@ -291,7 +300,7 @@ class TestSectorRoute:
             shapes.append(state.mode_cutoffs)
             return ideal_map(state, gain, mode)
 
-        for name in ("loss_channel", "nla_apply", "partial_trace", "fidelity"):
+        for name in ("loss_channel", "nla_apply", "fidelity"):
             monkeypatch.setattr(nlasim.applications, name, refuse)
         monkeypatch.setattr(
             nlasim.applications, "nla_apply_asymptotic", on_sectors_only

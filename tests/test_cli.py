@@ -432,6 +432,7 @@ BAD_INPUTS = [
     "fig4 --cutoff 1000",  # a 15 GiB purification, not run
     "verify --samples 1000000000000",  # 1 by traceback, after the oracle sweep
     "clone --alpha 20 --cutoff 1200",  # 1 by traceback: OverflowError
+    "distill --chi 0.3 --asymptotic --gain 1e-200",  # 1 by traceback: ZeroDivisionError
     *OVERSIZED,
 ]
 

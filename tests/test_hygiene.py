@@ -136,3 +136,11 @@ def test_only_fock_sizes_a_run(path):
                 if name.startswith("MAX_") and name.endswith("_BYTES"):
                     sizing.append(f"line {node.lineno}: compares with {name}")
     assert not sizing, f"{path.name} sizes a run outside fock.py: {sizing}"
+
+
+@pytest.mark.parametrize("name", ["nla.py", "optics.py"])
+def test_pure_state_modules_import_no_density_operator(name):
+    # the amplifier and the loss act on pure states; a mixed state is built
+    # only where a subcommand reads one, from a factor it already holds
+    tree = ast.parse((Path(nlasim.__file__).parent / name).read_text())
+    assert "DensityOperator" not in _imported_names(tree)

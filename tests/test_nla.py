@@ -6,21 +6,21 @@ import pytest
 from nlasim import (
     MultiModeState,
     NonconvergentError,
+    TruncationWarning,
     coherent_state,
     epr_state,
     fidelity,
     gain_from_eta,
-    misfire_density,
     misfire_terms,
     nla_apply,
     nla_apply_asymptotic,
     nla_operator,
     norm_sq,
     number_state,
-    purity,
     tensor,
     vacuum,
 )
+from nlasim.experiments import amplify_table
 from conftest import random_fock
 
 
@@ -155,10 +155,11 @@ class TestTargetGainPeak:
 
 class TestMisfire:
     def test_zero_inefficiency_recovers_pure_output(self):
-        rho = misfire_density(0.3, 5, 1.0 / 3.0, 0.0, cutoff=8)
+        first, second = misfire_terms(0.3, 5, 1.0 / 3.0, 0.0, cutoff=8)
         out = nla_apply(coherent_state(0.3, 8), 5, 1.0 / 3.0)
-        assert rho.trace == pytest.approx(norm_sq(out), rel=1e-12)
-        assert fidelity(rho, out) == pytest.approx(1.0, abs=1e-12)
+        assert norm_sq(second) == 0.0
+        assert norm_sq(first) == pytest.approx(norm_sq(out), rel=1e-12)
+        assert fidelity(first, out) == pytest.approx(1.0, abs=1e-12)
 
     def test_terms_converge_with_arm_count(self):
         previous = 0.0
@@ -170,11 +171,13 @@ class TestMisfire:
         assert previous > 0.999
 
     def test_purity_trend_in_gamma(self):
-        # mixing grows with gamma relative to eta / |alpha|**2
-        values = [
-            purity(misfire_density(1.0, 3, 0.05, gamma, cutoff=6))
-            for gamma in (0.002, 0.01, 0.05)
-        ]
+        # mixing grows with gamma relative to eta / |alpha|**2; the table's
+        # target coherent state is cut at the explicit cutoff
+        values = []
+        for gamma in (0.002, 0.01, 0.05):
+            with pytest.warns(TruncationWarning):
+                table = amplify_table(alpha=1.0, arms=3, eta=0.05, gamma=gamma, cutoff=6)
+            values.append(table.rows[0]["purity"])
         assert values[0] > values[1] > values[2]
         assert values[0] > 0.99
 
@@ -185,12 +188,19 @@ class TestMisfire:
 
     def test_large_gamma_warns(self):
         with pytest.warns(UserWarning):
-            misfire_density(0.3, 2, 0.3, 0.2)
+            misfire_terms(0.3, 2, 0.3, 0.2)
 
     def test_trace_is_first_order_acceptance(self):
+        # the table mixes the two branches: its acceptance is their summed
+        # squared norms, and its purity that of the two-column factor
         alpha, arms, eta, gamma = 0.4, 3, 0.25, 0.02
-        rho = misfire_density(alpha, arms, eta, gamma, cutoff=6)
+        with pytest.warns(TruncationWarning):
+            table = amplify_table(alpha=alpha, arms=arms, eta=eta, gamma=gamma, cutoff=6)
+        row = table.rows[0]
         first, second = misfire_terms(alpha, arms, eta, gamma, cutoff=6)
-        assert rho.trace == pytest.approx(
+        assert row["success_prob"] == pytest.approx(
             norm_sq(first) + norm_sq(second), rel=1e-12
         )
+        factor = np.stack([first.amplitudes, second.amplitudes], axis=1)
+        mat = factor @ factor.conj().T / np.vdot(factor, factor).real
+        assert row["purity"] == pytest.approx(np.trace(mat @ mat).real, rel=1e-12)

@@ -9,19 +9,25 @@ from nlasim import (
     TruncationError,
     TruncationWarning,
     coherent_state,
-    density_from_state,
     epr_state,
     fidelity,
     loss_channel,
     nla_apply,
     norm_sq,
     number_state,
-    partial_trace,
     tensor,
     vacuum,
 )
 from nlasim.optics import MAX_LOSS_CUTOFF, _mix_rows
-from conftest import beamsplitter, even_splitter, random_fock, random_multimode
+from conftest import (
+    beamsplitter,
+    dense,
+    density_from_state,
+    even_splitter,
+    partial_trace,
+    random_fock,
+    random_multimode,
+)
 
 
 def slab_loss(state, epsilon, mode=0):
@@ -285,7 +291,7 @@ def _loss_kraus(cutoff: int, epsilon: float) -> list:
 def kraus_loss(state, epsilon, mode):
     """Reference route to the lossy state: sum_k K_k rho K_k+ on the dense
     density matrix, each K_k lifted to the full basis by Kronecker products."""
-    rho = density_from_state(state).matrix
+    rho = dense(density_from_state(state))
     cutoffs = state.mode_cutoffs
     eye_l = np.eye(math.prod(cutoffs[:mode]))
     eye_r = np.eye(math.prod(cutoffs[mode + 1 :]))
@@ -307,13 +313,13 @@ class TestLossChannel:
         state = random_fock(rng, 5)
         rho = lossy(state, 1.0, 0)
         want = np.outer(state.amplitudes, state.amplitudes.conj())
-        assert np.max(np.abs(rho.matrix - want)) < 1e-12
+        assert np.max(np.abs(dense(rho) - want)) < 1e-12
 
     def test_zero_transmission_gives_vacuum(self):
         rho = lossy(number_state(1, 3), 0.0, 0)
         want = np.zeros((3, 3))
         want[0, 0] = 1.0
-        assert np.max(np.abs(rho.matrix - want)) < 1e-12
+        assert np.max(np.abs(dense(rho) - want)) < 1e-12
 
     def test_purification_amplitudes(self):
         # direct binomial evaluation of the environment amplitudes
@@ -336,7 +342,7 @@ class TestLossChannel:
         state = random_multimode(rng, (4, 3))
         via_env = lossy(state, 0.6, mode=0)
         direct = kraus_loss(state, 0.6, mode=0)
-        assert np.max(np.abs(via_env.matrix - direct)) < 1e-12
+        assert np.max(np.abs(dense(via_env) - direct)) < 1e-12
 
     def test_composition_law(self, rng):
         for _ in range(5):
@@ -344,13 +350,13 @@ class TestLossChannel:
             chained = loss_channel(loss_channel(state, 0.7, 0), 0.6, 0)
             twice = partial_trace(chained, [1, 2])
             once = lossy(state, 0.42, 0)
-            assert np.max(np.abs(twice.matrix - once.matrix)) < 1e-10
+            assert np.max(np.abs(dense(twice) - dense(once))) < 1e-10
 
     def test_density_input_kraus_path(self, rng):
         state = random_fock(rng, 6)
         pure_route = lossy(state, 0.42, 0)
         kraus_route = kraus_loss(state, 0.42, 0)
-        assert np.max(np.abs(pure_route.matrix - kraus_route)) < 1e-12
+        assert np.max(np.abs(dense(pure_route) - kraus_route)) < 1e-12
 
     def test_trace_preserved(self, rng):
         state = random_multimode(rng, (5, 3))
@@ -366,4 +372,4 @@ class TestLossChannel:
             eps = float(rng.uniform(0.0, 1.0))
             rho = lossy(state, eps, mode)
             assert rho.basis_cutoffs == cutoffs
-            assert np.max(np.abs(rho.matrix - kraus_loss(state, eps, mode))) < 1e-12
+            assert np.max(np.abs(dense(rho) - kraus_loss(state, eps, mode))) < 1e-12
