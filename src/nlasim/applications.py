@@ -15,10 +15,10 @@ from .fock import (
     MultiModeState,
     _coherent_cutoff,
     _epr_cutoff,
+    _epr_schmidt,
     _factor,
     _refuse_above,
     coherent_state,
-    epr_state,
     fidelity,
     norm_sq,
 )
@@ -88,13 +88,14 @@ def _lossy_sectors(chi: float, epsilon: float, cutoff: int) -> np.ndarray:
     Loss keeps n_B - n_A = k and the amplifier is diagonal, so these
     numbers, zero where a + k >= cutoff, fix the state.
     """
-    return _lose(np.diagonal(epr_state(chi, cutoff).amplitudes).real, epsilon)
+    return _lose(_epr_schmidt(chi, cutoff), epsilon)
 
 
 def _sector_density(sectors: np.ndarray) -> DensityOperator:
     """rho_AB = sum_k |v_k><v_k| with v_k = sum_a G[k, a] |a>|a + k>: the
     factor F[a c + a + k, k] = G[k, a], the purification's amplitudes with
-    the loss mode as the factor's column index."""
+    the loss mode as the factor's column index. The purity report is read
+    off G instead (``_sector_purity``)."""
     cutoff = sectors.shape[0]
     k, a = np.nonzero(sectors)
     factor = np.zeros((cutoff * cutoff, cutoff), dtype=np.complex128)
@@ -104,12 +105,50 @@ def _sector_density(sectors: np.ndarray) -> DensityOperator:
     return DensityOperator((cutoff, cutoff), factor)
 
 
+def _sector_purity(sectors: np.ndarray) -> PurityReport:
+    """``purity_product`` of ``_sector_density(sectors)``, read off G.
+
+    Each v_k lies in the one sector b = a + k, so <a>, <a**2>, <ab+> and
+    every imaginary part vanish. What is left is <n_A>, <n_B>, <ab> and the
+    top-level masses of the truncated basis: mode A reaches level c - 1
+    only at k = 0, and mode B on the antidiagonal a + k = c - 1.
+    """
+    cutoff = sectors.shape[0]
+    probs = sectors * sectors
+    success = float(probs.sum())
+    level = np.arange(cutoff)
+    n_a = float(level @ probs.sum(axis=0)) / success
+    n_b = n_a + float(level @ probs.sum(axis=1)) / success
+    # ab takes |a + 1>|a + 1 + k> to |a>|a + k> at sqrt((a + 1)(a + 1 + k))
+    root = np.sqrt(level[1:] * (level[1:] + level[:, None]))
+    ab = float(np.sum(root * (sectors[:, :-1] * sectors[:, 1:]))) / success
+    # <a a+ + a+ a> = 2<n> + 1 - c p(c-1) for each mode
+    sym_a = 2.0 * n_a + 1.0 - cutoff * float(probs[0, -1]) / success
+    sym_b = 2.0 * n_b + 1.0 - cutoff * float(np.trace(probs[:, ::-1])) / success
+    v_minus = (sym_a + sym_b - 4.0 * abs(ab)) / 2.0
+    v_plus = (sym_a + sym_b + 4.0 * abs(ab)) / 2.0
+    return PurityReport(v_minus, v_plus, v_minus * v_plus, success)
+
+
 #: Largest loss purification a run may allocate, in bytes. A distillation
 #: point no longer builds the purification, but it returns a factor of the
-#: same 16 * cutoff**3 bytes, and the run with its purity_product peaks at
-#: 1.03 times that at cutoff 160. This limit admits distillation cutoffs up
-#: to 161 and is checked before any state is built.
+#: same 16 * cutoff**3 bytes, and the run, which reads its purity off the
+#: sectors, peaks at 1.03 times that at cutoff 160. This limit admits
+#: distillation cutoffs up to 161 and is checked before any state is built.
 MAX_PURIFICATION_BYTES = 64 * 2**20
+
+
+def _distill_gain(arm_count, eta, gain) -> tuple[float | None, float]:
+    """The (eta, gain) a distillation run amplifies with, from exactly one
+    of them. At finite arm count eta sets the amplifier, so a given gain
+    is read back through eta and the target is built at that gain."""
+    if (eta is None) == (gain is None):
+        raise ValueError("exactly one of eta / gain must be given")
+    if eta is None and arm_count is not None:
+        eta = eta_from_gain(gain)
+    if eta is not None:
+        gain = gain_from_eta(eta)
+    return eta, gain
 
 
 def distill_numeric(
@@ -120,17 +159,17 @@ def distill_numeric(
     cutoff: int | None = None,
     *,
     gain: float | None = None,
-) -> tuple[DensityOperator, float]:
+) -> tuple[DensityOperator, float, PurityReport]:
     """Full numeric distillation run.
 
     Sends arm A (mode 0) of the two-mode squeezed state through the lossy
-    line, amplifies it, traces out the loss mode and reports the fidelity
-    against the analytic target, the lossy state with the effective
-    parameters. Exactly one of ``eta`` and ``gain`` sets the amplifier.
-    Finite runs need ``arm_count`` and return the unnormalized state whose
-    trace is the success probability; with ``arm_count=None`` the ideal map
-    at that gain is used instead, its output has trace 1 and no
-    probability is defined.
+    line, amplifies it, traces out the loss mode and returns the state, its
+    fidelity against the analytic target (the lossy state with the
+    effective parameters) and its ``purity_product`` report. Exactly one of
+    ``eta`` and ``gain`` sets the amplifier. Finite runs need ``arm_count``
+    and return the unnormalized state whose trace is the success
+    probability; with ``arm_count=None`` the ideal map at that gain is used
+    instead, its output has trace 1 and no probability is defined.
 
     The run works on the photon-difference sectors G[k, a] of
     ``_lossy_sectors``, from the loss kernel ``loss_channel`` uses too. The
@@ -138,15 +177,10 @@ def distill_numeric(
     ``nla_apply_asymptotic`` on G as a two-mode state (loss, arm A). The
     state and the target are both sums over k of one vector on the diagonal
     b = a + k, so the overlap of their factors is diagonal in k with
-    nonnegative entries and its trace norm is the plain overlap.
+    nonnegative entries and its trace norm is the plain overlap. The purity
+    report is read off G in one O(c**2) pass (``_sector_purity``).
     """
-    if (eta is None) == (gain is None):
-        raise ValueError("exactly one of eta / gain must be given")
-    if eta is None and arm_count is not None:
-        eta = eta_from_gain(gain)
-    if eta is not None:
-        gain = gain_from_eta(eta)
-
+    eta, gain = _distill_gain(arm_count, eta, gain)
     params = distill_params(chi, epsilon, gain)
     if cutoff is None:
         remedy = "lower the source squeezing or the gain"
@@ -168,7 +202,7 @@ def distill_numeric(
         fid = min(max(float(np.vdot(sectors, target)) ** 2 / norms, 0.0), 1.0)
     else:
         fid = math.nan
-    return rho, fid
+    return rho, fid, _sector_purity(sectors)
 
 
 def clone_coherent(

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .applications import (
+    _distill_gain,
     clone_coherent,
     clone_fidelities,
     distill_numeric,
     distill_params,
-    purity_product,
 )
 from .fock import (
     DensityOperator,
@@ -253,8 +253,7 @@ def fig4_table(
         eta = eta_from_gain(gain)
         boost = 1.0 + (gain**2 - 1.0) * loss
         chi_source = chi_target / math.sqrt(boost)
-        rho, fid = distill_numeric(chi_source, loss, arms, eta, cutoff)
-        report = purity_product(rho)
+        rho, fid, report = distill_numeric(chi_source, loss, arms, eta, cutoff)
         prob = rho.trace
         rows.append(
             {
@@ -299,10 +298,10 @@ def distill_table(
     ``eta`` and ``gain`` are exclusive: pass ``eta=None`` with a gain.
     """
     arms_used = None if asymptotic else arms
-    rho, fid = distill_numeric(chi, loss, arms_used, eta, cutoff, gain=gain)
-    gain_used = gain_from_eta(eta) if gain is None else gain
+    rho, fid, report = distill_numeric(chi, loss, arms_used, eta, cutoff, gain=gain)
+    # the gain the run amplified with and built its target at
+    _, gain_used = _distill_gain(arms_used, eta, gain)
     params = distill_params(chi, loss, gain_used)
-    report = purity_product(rho)
     prob = None if arms_used is None else rho.trace
     row = {
         "chi": chi,

@@ -230,22 +230,28 @@ def epr_state(chi: float, cutoff: int | None = None) -> MultiModeState:
     mass is chi**(2 * cutoff); if it reaches ``DEFAULT_TAIL_TOL`` the state
     comes back unnormalized with a ``TruncationWarning``.
     """
+    diag = _epr_schmidt(chi, cutoff)
+    amps = np.zeros((diag.size, diag.size), dtype=np.complex128)
+    np.fill_diagonal(amps, diag)
+    return MultiModeState(amps.shape, amps)
+
+
+def _epr_schmidt(chi: float, cutoff: int | None = None) -> np.ndarray:
+    """Schmidt coefficients sqrt(1 - chi**2) * chi**n, n < cutoff, of
+    ``epr_state``, with its checks and its tail warning."""
     if not 0.0 <= chi < 1.0:
         raise ValueError(f"chi must lie in [0, 1), got {chi}")
     if cutoff is None:
         cutoff = minimal_epr_cutoff(chi)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    diag = math.sqrt(1.0 - chi**2) * chi ** np.arange(cutoff)
-    amps = np.zeros((cutoff, cutoff), dtype=np.complex128)
-    np.fill_diagonal(amps, diag)
     tail = chi ** (2 * cutoff)
     if tail >= DEFAULT_TAIL_TOL:
         warnings.warn(
             f"two-mode squeezed state truncated: tail mass {tail:.3g}",
             TruncationWarning,
         )
-    return MultiModeState((cutoff, cutoff), amps)
+    return math.sqrt(1.0 - chi**2) * chi ** np.arange(cutoff)
 
 
 # ---------------------------------------------------------------------------

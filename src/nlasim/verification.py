@@ -200,7 +200,7 @@ def verify_table(
     min_fid = 1.0
     for chi in np.linspace(0.05, 0.35, 5):
         for eps in np.linspace(0.2, 1.0, 5):
-            _, fid = distill_numeric(float(chi), float(eps), gain=1.3)
+            _, fid, _ = distill_numeric(float(chi), float(eps), gain=1.3)
             min_fid = min(min_fid, fid)
     check(
         "effective_params_grid",

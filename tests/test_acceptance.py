@@ -58,7 +58,7 @@ def test_criterion_1_headline_distillation():
     """
     arms, eta, chi = 2, 0.05, math.tanh(0.1)
     start = time.perf_counter()
-    rho, _ = distill_numeric(chi, 1.0, arms, eta)
+    rho, _, _ = distill_numeric(chi, 1.0, arms, eta)
     target = epr_state(math.tanh(0.4))
     f_squared = fidelity(rho, target)
     f_amplitude = math.sqrt(f_squared)
@@ -207,7 +207,7 @@ def test_criterion_5_analytic_identities():
     min_fid = 1.0
     for chi in np.linspace(0.05, 0.35, 5):
         for eps in np.linspace(0.2, 1.0, 5):
-            _, fid = distill_numeric(float(chi), float(eps), gain=1.3)
+            _, fid, _ = distill_numeric(float(chi), float(eps), gain=1.3)
             min_fid = min(min_fid, fid)
     grid_ok = min_fid >= 1.0 - 1e-9
 

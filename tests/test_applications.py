@@ -160,13 +160,13 @@ class TestDistillParams:
 
 class TestDistillNumeric:
     def test_asymptotic_matches_effective_parameter_map(self):
-        rho, fid = distill_numeric(0.25, 0.5, gain=1.4)
+        rho, fid, _ = distill_numeric(0.25, 0.5, gain=1.4)
         assert fid >= 1.0 - 1e-10
         assert rho.trace == pytest.approx(1.0, abs=1e-10)
 
     def test_vacuum_input_passes_with_vacuum_probability(self):
         arms, eta = 2, 0.3
-        rho, fid = distill_numeric(0.0, 0.7, arms, eta)
+        rho, fid, _ = distill_numeric(0.0, 0.7, arms, eta)
         assert rho.trace == pytest.approx(eta**arms, rel=1e-12)
         assert fid == pytest.approx(1.0, abs=1e-12)
 
@@ -174,7 +174,7 @@ class TestDistillNumeric:
         # independent route: P = sum_n p(n_B) coeff(n_B)**2 over the lossy marginal
         chi, eps, arms, eta = 0.3, 0.6, 2, 0.2
         cutoff = 24
-        rho, _ = distill_numeric(chi, eps, arms, eta, cutoff)
+        rho, _, _ = distill_numeric(chi, eps, arms, eta, cutoff)
         marginal = partial_trace(loss_channel(epr_state(chi, cutoff), eps), [1, 2])
         weights = np.diag(dense(marginal)).real
         coeffs = nla_operator(arms, eta, cutoff)
@@ -192,6 +192,19 @@ class TestDistillNumeric:
         with pytest.raises(ValueError, match="exactly one of eta / gain"):
             distill_table(chi=0.1, loss=0.5, asymptotic=True, eta=0.05, gain=2.0)
 
+    def test_table_reports_the_gain_it_amplified_with(self):
+        # at finite arm count eta sets the amplifier, so a given gain is
+        # read back through eta; the printed gain and effective parameters
+        # are the ones the fidelity target was built at
+        chi, loss, arms, gain = 0.569, 1.0, 4, 0.364
+        used = gain_from_eta(eta_from_gain(gain))
+        assert used != gain  # this gain's last bit moves in the round trip
+        row = distill_table(chi=chi, loss=loss, arms=arms, eta=None, gain=gain).rows[0]
+        params = distill_params(chi, loss, used)
+        assert row["gain"] == used
+        assert row["chi_prime"] == params.chi_prime
+        assert row["eps_prime"] == params.eps_prime
+
     def test_unphysical_asymptotic_raises(self):
         with pytest.raises(NonconvergentError):
             distill_numeric(0.6, 1.0, gain=2.0)
@@ -205,7 +218,7 @@ class TestDistillNumeric:
         from nlasim import TruncationWarning
 
         with pytest.warns(TruncationWarning):
-            rho, _ = distill_numeric(0.9, 1.0, 1, 0.55, cutoff=30)
+            rho, _, _ = distill_numeric(0.9, 1.0, 1, 0.55, cutoff=30)
         assert rho.trace > 0.0
 
     @pytest.mark.parametrize("arms", [None, 2])
@@ -228,7 +241,7 @@ class TestDistillNumeric:
         tracemalloc.start()
         try:
             with pytest.warns(TruncationWarning):
-                rho, _ = distill_numeric(0.3, 0.5, 2, 0.05, cutoff)
+                rho, _, _ = distill_numeric(0.3, 0.5, 2, 0.05, cutoff)
             purity_product(rho)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -271,7 +284,7 @@ class TestSectorRoute:
     def test_matches_dense_composition(self, arms, cutoff):
         # gain 3: chi' = 0.67 wants cutoff 35, so the lower cutoffs warn
         chi, eps, eta = 0.3, 0.5, 0.1
-        (rho, fid), warned = _with_truncation_warnings(
+        (rho, fid, report), warned = _with_truncation_warnings(
             lambda: distill_numeric(chi, eps, arms, eta, cutoff)
         )
         (dense, dense_fid), dense_warned = _with_truncation_warnings(
@@ -282,14 +295,14 @@ class TestSectorRoute:
             assert np.array_equal(rho.factor, dense.factor)
         assert rho.trace == pytest.approx(dense.trace, rel=1e-13)
         assert fid == pytest.approx(dense_fid, rel=1e-13)
-        report = purity_product(rho)
         v_minus, v_plus = dense_purity_product(dense)
         assert report.v_minus == pytest.approx(v_minus, rel=1e-13)
         assert report.v_plus == pytest.approx(v_plus, rel=1e-13)
 
     def test_calls_no_dense_stage(self, monkeypatch):
-        # no three-mode purification is built: the ideal map may only run
-        # on the (environment, arm A) sector amplitudes
+        # no three-mode purification and no (c, c) two-mode squeezed state
+        # is built: the ideal map may only run on the (environment, arm A)
+        # sector amplitudes
         def refuse(*args, **kwargs):
             raise AssertionError("a dense stage ran")
 
@@ -302,11 +315,13 @@ class TestSectorRoute:
 
         for name in ("loss_channel", "nla_apply", "fidelity"):
             monkeypatch.setattr(nlasim.applications, name, refuse)
+        for module in (nlasim.applications, nlasim.fock):
+            monkeypatch.setattr(module, "epr_state", refuse, raising=False)
         monkeypatch.setattr(
             nlasim.applications, "nla_apply_asymptotic", on_sectors_only
         )
         for arms in (2, None):
-            rho, _ = distill_numeric(0.3, 0.5, arms, 0.1, 24)
+            rho, _, _ = distill_numeric(0.3, 0.5, arms, 0.1, 24)
             purity_product(rho)
         purity_product(lossy_epr(0.3, 0.5, 24))
         assert shapes == [(24, 24)]
@@ -316,6 +331,41 @@ class TestSectorRoute:
         for run in (distill_numeric, dense_distill):
             with pytest.raises(NonconvergentError):
                 run(0.6, 1.0, None, 0.2, 40)
+
+
+class TestSectorPurity:
+    # the report distill_numeric reads off the sector amplitudes G, against
+    # purity_product on the returned factor and, at small cutoffs, against
+    # the kron-built quadratures, which take 16 c**4 bytes an operator
+
+    @staticmethod
+    def assert_close(report, want):
+        scale = report.v_minus + report.v_plus
+        assert abs(report.v_minus - want[0]) <= 1e-12 * scale
+        assert abs(report.v_plus - want[1]) <= 1e-12 * scale
+        assert report.product == report.v_minus * report.v_plus
+
+    @pytest.mark.filterwarnings("ignore::nlasim.TruncationWarning")
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 17, 24, 40, 160])
+    @pytest.mark.parametrize("arms", [1, 2, 3, 4, 5, None])
+    def test_matches_factor_routes(self, arms, cutoff):
+        for chi, eps, eta in ((0.3, 0.5, 0.1), (0.5, 0.8, 0.3)):
+            rho, _, report = distill_numeric(chi, eps, arms, eta, cutoff)
+            assert report.success_prob == pytest.approx(rho.trace, rel=1e-14)
+            factor_route = purity_product(rho)
+            self.assert_close(report, (factor_route.v_minus, factor_route.v_plus))
+            if cutoff <= 24:
+                self.assert_close(report, dense_purity_product(rho))
+
+    @pytest.mark.filterwarnings("ignore::nlasim.TruncationWarning")
+    @pytest.mark.parametrize("arms, cutoff", [(None, 2), (None, 3), (2, 3), (5, 3)])
+    def test_top_levels_of_both_modes(self, arms, cutoff):
+        # each mode's edge term c p(c-1) enters: mode A's top level is
+        # reached only at k = 0, mode B's on the antidiagonal a + k = c - 1
+        rho, _, report = distill_numeric(0.5, 0.8, arms, 0.3, cutoff)
+        probs = np.diag(dense(rho)).real.reshape(cutoff, cutoff) / rho.trace
+        assert probs[-1].sum() > 1e-3 and probs[:, -1].sum() > 1e-3
+        self.assert_close(report, dense_purity_product(rho))
 
 
 class TestPurityProduct:
@@ -352,7 +402,7 @@ class TestPurityProduct:
 
     def test_success_probability_carried_from_trace(self):
         chi = math.tanh(0.1)
-        rho, _ = distill_numeric(chi, 1.0, 2, 0.05)
+        rho, _, _ = distill_numeric(chi, 1.0, 2, 0.05)
         report = purity_product(rho)
         # lossless line: the amplified two-mode state carries the same norm
         direct = nla_apply(epr_state(chi, rho.basis_cutoffs[0]), 2, 0.05)
@@ -364,7 +414,7 @@ class TestHeadlinePipelineInternals:
         # with eps = 1 the loss mode stays empty: direct algebra check
         chi, arms, eta = math.tanh(0.1), 2, 0.05
         cutoff = 18
-        rho, _ = distill_numeric(chi, 1.0, arms, eta, cutoff)
+        rho, _, _ = distill_numeric(chi, 1.0, arms, eta, cutoff)
         direct = nla_apply(epr_state(chi, cutoff), arms, eta)
         assert rho.trace == pytest.approx(norm_sq(direct), rel=1e-12)
         assert fidelity(rho, direct) == pytest.approx(1.0, abs=1e-10)

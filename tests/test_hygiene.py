@@ -144,3 +144,10 @@ def test_pure_state_modules_import_no_density_operator(name):
     # only where a subcommand reads one, from a factor it already holds
     tree = ast.parse((Path(nlasim.__file__).parent / name).read_text())
     assert "DensityOperator" not in _imported_names(tree)
+
+
+def test_tables_read_purity_off_the_sectors():
+    # distill and fig4 take distill_numeric's sector report; purity_product
+    # on the c**2 x c factor stays for general two-mode states and the tests
+    tree = ast.parse((Path(nlasim.__file__).parent / "experiments.py").read_text())
+    assert "purity_product" not in _imported_names(tree)
