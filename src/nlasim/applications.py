@@ -23,7 +23,9 @@ from .fock import (
     norm_sq,
 )
 from .nla import (
+    _check_convergent,
     _gain_squared,
+    _ideal_coefficients,
     eta_from_gain,
     gain_from_eta,
     nla_apply,
@@ -59,6 +61,12 @@ class PurityReport:
     success_prob: float | None
 
 
+def _boost(epsilon: float, gain_sq: float) -> float:
+    """1 + (g**2 - 1) eps, summed as (1 - eps) + g**2 eps: two nonnegative
+    terms, so a lossless line keeps eps' = 1 exactly."""
+    return (1.0 - epsilon) + gain_sq * epsilon
+
+
 def distill_params(chi: float, epsilon: float, gain: float) -> EffectiveEprParams:
     """Effective parameters after amplifying the lossy arm with ``gain``:
 
@@ -66,40 +74,62 @@ def distill_params(chi: float, epsilon: float, gain: float) -> EffectiveEprParam
         eps' = g**2 * eps / (1 + (g**2 - 1) * eps)
 
     Unphysical requests (chi' >= 1) are flagged, not raised. The boost is
-    summed as (1 - eps) + g**2 eps, two nonnegative terms, so a lossless
-    line keeps eps' = 1 exactly.
+    ``_boost``, so a lossless line keeps eps' = 1 exactly.
     """
     if not 0.0 <= chi < 1.0:
         raise ValueError("chi must lie in [0, 1)")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
     gain_sq = _gain_squared(gain)
-    boost = (1.0 - epsilon) + gain_sq * epsilon
+    boost = _boost(epsilon, gain_sq)
     chi_prime = chi * math.sqrt(boost)
     eps_prime = gain_sq * epsilon / boost
     return EffectiveEprParams(chi_prime, eps_prime, chi_prime < 1.0)
 
 
-def _lossy_sectors(chi: float, epsilon: float, cutoff: int) -> np.ndarray:
-    """Amplitudes G[k, a] of |a>_A |a + k>_B |k>_E once arm A of the
-    two-mode squeezed state has lost k photons through transmission
-    ``epsilon``: the loss kernel on its Schmidt vector.
+def _lossy_sectors(chis, epsilons, cutoff: int, kept: int | None = None):
+    """Schmidt vectors of two-mode squeezed states, one row per chi, and
+    the amplitudes G[k, a] of |a>_A |a + k>_B |k>_E once each state's arm A
+    has lost k photons through its transmission in ``epsilons``: the loss
+    kernel on the Schmidt vectors, whose rows share one binomial table.
 
     Loss keeps n_B - n_A = k and the amplifier is diagonal, so these
-    numbers, zero where a + k >= cutoff, fix the state.
+    numbers, zero where a + k >= cutoff, fix the state. Only the columns
+    a < ``kept`` are built: an N-arm amplifier zeroes every column past N.
     """
-    return _lose(_epr_schmidt(chi, cutoff), epsilon)
+    schmidt = np.array([_epr_schmidt(chi, cutoff) for chi in chis])
+    return schmidt, _lose(schmidt, epsilons, kept)
+
+
+def _amplify_ideal(sectors: np.ndarray, gain: float) -> None:
+    """Scale the columns a of G by g**a and renormalize, in place: the
+    ideal map on arm A, to the last bit of ``nla_apply_asymptotic`` on G
+    as a (loss, arm A) state, whose complex division by sqrt(n2)
+    multiplies by its reciprocal."""
+    sectors *= _ideal_coefficients(gain, sectors.shape[1])
+    weights = sectors * sectors
+    _check_convergent(weights.sum(axis=0), gain)
+    # G[0, 0] = sqrt(1 - chi**2) is not amplified, so the norm is positive
+    sectors *= 1.0 / math.sqrt(float(weights.sum()))
 
 
 def _sector_density(sectors: np.ndarray) -> DensityOperator:
     """rho_AB = sum_k |v_k><v_k| with v_k = sum_a G[k, a] |a>|a + k>: the
     factor F[a c + a + k, k] = G[k, a], the purification's amplitudes with
-    the loss mode as the factor's column index. The purity report is read
-    off G instead (``_sector_purity``)."""
-    cutoff = sectors.shape[0]
-    k, a = np.nonzero(sectors)
+    the loss mode as the factor's column index. G may hold only its first
+    columns a, the others being zero. The purity report is read off G
+    instead (``_sector_purity``).
+
+    F[a c + a + k, k] is entry (c + 1)(a c + k) of the flat factor, so G's
+    columns, laid end to end, fill every (c + 1)-th entry. Where a + k >= c
+    that entry belongs to no sector and G's zero is written over a zero;
+    the last column a = c - 1 stops after its one entry, k = 0.
+    """
+    cutoff, kept = sectors.shape
     factor = np.zeros((cutoff * cutoff, cutoff), dtype=np.complex128)
-    factor[a * (cutoff + 1) + k, k] = sectors[k, a]
+    runs = factor.reshape(-1)[:: cutoff + 1]
+    filled = min(kept * cutoff, runs.size)
+    runs[:filled] = sectors.T.reshape(-1)[:filled]
     # read-only, so the operator keeps it rather than copying 16 c**3 bytes
     factor.setflags(write=False)
     return DensityOperator((cutoff, cutoff), factor)
@@ -111,20 +141,24 @@ def _sector_purity(sectors: np.ndarray) -> PurityReport:
     Each v_k lies in the one sector b = a + k, so <a>, <a**2>, <ab+> and
     every imaginary part vanish. What is left is <n_A>, <n_B>, <ab> and the
     top-level masses of the truncated basis: mode A reaches level c - 1
-    only at k = 0, and mode B on the antidiagonal a + k = c - 1.
+    only at k = 0, and mode B on the antidiagonal a + k = c - 1. When G
+    holds only its first columns a < kept, mode A's top level lies inside
+    them only if kept = c, and the antidiagonal lies in the last kept rows.
     """
-    cutoff = sectors.shape[0]
+    cutoff, kept = sectors.shape
     probs = sectors * sectors
     success = float(probs.sum())
     level = np.arange(cutoff)
-    n_a = float(level @ probs.sum(axis=0)) / success
+    n_a = float(level[:kept] @ probs.sum(axis=0)) / success
     n_b = n_a + float(level @ probs.sum(axis=1)) / success
     # ab takes |a + 1>|a + 1 + k> to |a>|a + k> at sqrt((a + 1)(a + 1 + k))
-    root = np.sqrt(level[1:] * (level[1:] + level[:, None]))
-    ab = float(np.sum(root * (sectors[:, :-1] * sectors[:, 1:]))) / success
+    root = np.sqrt(level[1:kept] * (level[1:kept] + level[:, None]))
+    ab = float((root * (sectors[:, :-1] * sectors[:, 1:])).sum()) / success
     # <a a+ + a+ a> = 2<n> + 1 - c p(c-1) for each mode
-    sym_a = 2.0 * n_a + 1.0 - cutoff * float(probs[0, -1]) / success
-    sym_b = 2.0 * n_b + 1.0 - cutoff * float(np.trace(probs[:, ::-1])) / success
+    top_a = float(probs[0, -1]) if kept == cutoff else 0.0
+    top_b = float(probs[cutoff - kept :, ::-1].trace())
+    sym_a = 2.0 * n_a + 1.0 - cutoff * top_a / success
+    sym_b = 2.0 * n_b + 1.0 - cutoff * top_b / success
     v_minus = (sym_a + sym_b - 4.0 * abs(ab)) / 2.0
     v_plus = (sym_a + sym_b + 4.0 * abs(ab)) / 2.0
     return PurityReport(v_minus, v_plus, v_minus * v_plus, success)
@@ -132,9 +166,11 @@ def _sector_purity(sectors: np.ndarray) -> PurityReport:
 
 #: Largest loss purification a run may allocate, in bytes. A distillation
 #: point no longer builds the purification, but it returns a factor of the
-#: same 16 * cutoff**3 bytes, and the run, which reads its purity off the
-#: sectors, peaks at 1.03 times that at cutoff 160. This limit admits
-#: distillation cutoffs up to 161 and is checked before any state is built.
+#: same 16 * cutoff**3 bytes. Everything else it builds is (c, N + 1) or,
+#: on the ideal map, (c, c), so at cutoff 160 the run peaks at 1.0002
+#: times the factor at 2 arms and 1.009 times on the ideal map. This limit
+#: admits distillation cutoffs up to 161 and is checked before any state
+#: is built.
 MAX_PURIFICATION_BYTES = 64 * 2**20
 
 
@@ -173,12 +209,16 @@ def distill_numeric(
 
     The run works on the photon-difference sectors G[k, a] of
     ``_lossy_sectors``, from the loss kernel ``loss_channel`` uses too. The
-    amplifier scales their columns a; the ideal map is
-    ``nla_apply_asymptotic`` on G as a two-mode state (loss, arm A). The
-    state and the target are both sums over k of one vector on the diagonal
-    b = a + k, so the overlap of their factors is diagonal in k with
-    nonnegative entries and its trace norm is the plain overlap. The purity
-    report is read off G in one O(c**2) pass (``_sector_purity``).
+    amplifier scales their columns a. An N-arm amplifier zeroes every
+    column past N, so a finite run builds only the (c, N + 1) columns it
+    keeps, and the target's matching ones; the ideal map scales all c
+    columns in place (``_amplify_ideal``). The state and the target are
+    both sums over k of one vector on the diagonal b = a + k, so the
+    overlap of their factors is diagonal in k with nonnegative entries and
+    its trace norm is the plain overlap, which only the state's columns
+    reach. Loss is an isometry on the purification, so the target's norm
+    is its Schmidt vector's. The purity report and the success probability
+    are read off the columns in one pass (``_sector_purity``).
     """
     eta, gain = _distill_gain(arm_count, eta, gain)
     params = distill_params(chi, epsilon, gain)
@@ -188,21 +228,24 @@ def distill_numeric(
     most = f"use a cutoff of at most {int((MAX_PURIFICATION_BYTES // 16) ** (1 / 3))}"
     what = f"the loss purification at cutoff {cutoff}"
     _refuse_above(16 * cutoff**3, MAX_PURIFICATION_BYTES, what, most)
-    sectors = _lossy_sectors(chi, epsilon, cutoff)
+    # the state, and the target if chi' < 1 gives one, on one binomial table
+    rows = 2 if params.physical else 1
+    chis, epsilons = (chi, params.chi_prime)[:rows], (epsilon, params.eps_prime)[:rows]
+    kept = None if arm_count is None else arm_count + 1
+    schmidt, lossy = _lossy_sectors(chis, epsilons, cutoff, kept)
+    sectors = lossy[0]
     if arm_count is None:
-        pair = MultiModeState((cutoff, cutoff), sectors)
-        sectors = nla_apply_asymptotic(pair, gain, mode=1).amplitudes.real
+        _amplify_ideal(sectors, gain)
     else:
-        sectors = sectors * nla_operator(arm_count, eta, cutoff)
-    rho = _sector_density(sectors)
+        sectors *= nla_operator(arm_count, eta, sectors.shape[1])
+    purity = _sector_purity(sectors)
 
     if params.physical:
-        target = _lossy_sectors(params.chi_prime, params.eps_prime, cutoff)
-        norms = float(np.vdot(sectors, sectors)) * float(np.vdot(target, target))
-        fid = min(max(float(np.vdot(sectors, target)) ** 2 / norms, 0.0), 1.0)
+        norms = purity.success_prob * float(np.vdot(schmidt[1], schmidt[1]))
+        fid = min(max(float(np.vdot(sectors, lossy[1])) ** 2 / norms, 0.0), 1.0)
     else:
         fid = math.nan
-    return rho, fid, _sector_purity(sectors)
+    return _sector_density(sectors), fid, purity
 
 
 def clone_coherent(

@@ -32,7 +32,8 @@ a stdout pipe whose reader has gone, which exits 1 silently.
 
 ``main(argv)`` may be called any number of times in one process. Every
 call shares the one parser built when this module is imported; no parse
-leaves state on it.
+leaves state on it. An argv that starts with a subcommand is parsed by
+that subcommand's parser alone, with the same result.
 """
 
 from __future__ import annotations
@@ -214,7 +215,8 @@ def _verify(args):
     return params, verify_table(**params)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict]:
+    """The CLI's parser, and the parser of each subcommand by name."""
     parser = _Parser(prog="nlasim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -295,12 +297,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
 
-    return parser
+    return parser, sub.choices
 
 
 # argparse keeps no parse state on the parser: each call's values live in
 # its own Namespace, and the append actions copy their defaults first
-_PARSER = _build_parser()
+_PARSER, _SUBCOMMANDS = _build_parser()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``. An argv that starts with a subcommand
+    goes straight to that subcommand's parser, as the top-level pass would
+    hand it on, without the pass; ``--version``, ``-h`` and a missing or
+    unknown subcommand take the top-level parser."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _SUBCOMMANDS:
+        namespace = argparse.Namespace(subcommand=argv[0])
+        return _SUBCOMMANDS[argv[0]].parse_args(argv[1:], namespace)
+    return _PARSER.parse_args(argv)
 
 
 def _header_config(args, params: dict) -> dict:
@@ -361,7 +376,7 @@ def _silence_stdout():
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
         params, result = args.run(args)
         config = _header_config(args, params)
         handle = (

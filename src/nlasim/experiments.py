@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .applications import (
+    _boost,
     _distill_gain,
     clone_coherent,
     clone_fidelities,
@@ -30,7 +31,7 @@ from .fock import (
     number_state,
 )
 from .nla import (
-    eta_from_gain,
+    _gain_squared,
     gain_from_eta,
     misfire_terms,
     nla_apply,
@@ -248,13 +249,13 @@ def fig4_table(
         raise ValueError("transmission must lie in [0, 1]")
     chi_target = math.tanh(squeeze_r)
     rows = []
-    for gain in map(float, gains):
-        # rejects gain <= 0 before it can zero or negate the boost
-        eta = eta_from_gain(gain)
-        boost = 1.0 + (gain**2 - 1.0) * loss
-        chi_source = chi_target / math.sqrt(boost)
-        rho, fid, report = distill_numeric(chi_source, loss, arms, eta, cutoff)
-        prob = rho.trace
+    for swept in map(float, gains):
+        # the gain the amplifier realizes; rejects gain <= 0 before it can
+        # zero or negate the boost
+        eta, gain = _distill_gain(arms, None, swept)
+        chi_source = chi_target / math.sqrt(_boost(loss, _gain_squared(gain)))
+        _, fid, report = distill_numeric(chi_source, loss, arms, eta, cutoff)
+        prob = report.success_prob
         rows.append(
             {
                 "chi_source": chi_source,
@@ -302,7 +303,7 @@ def distill_table(
     # the gain the run amplified with and built its target at
     _, gain_used = _distill_gain(arms_used, eta, gain)
     params = distill_params(chi, loss, gain_used)
-    prob = None if arms_used is None else rho.trace
+    prob = None if arms_used is None else report.success_prob
     row = {
         "chi": chi,
         "loss": loss,

@@ -258,9 +258,11 @@ def _epr_schmidt(chi: float, cutoff: int | None = None) -> np.ndarray:
 # sizing: every automatic cutoff and every byte budget is decided here
 
 #: Largest automatic cutoff of distill, fig4, clone and the ``target_r``
-#: state. A distillation point is computed from its cutoff**2 / 2 sector
-#: amplitudes but returns a factor of cutoff**3 (65 MB at 160); the cap
-#: holds until a large-cutoff benchmark has measured what raising it costs.
+#: state. A finite-arm distillation point is computed from the
+#: cutoff * (N + 1) sector amplitudes an N-arm amplifier keeps (the ideal
+#: map from all cutoff**2 / 2) but returns a factor of cutoff**3 (65 MB at
+#: 160); the cap holds until a large-cutoff benchmark has measured what
+#: raising it costs.
 AUTO_CUTOFF_CAP = 40
 
 

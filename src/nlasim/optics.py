@@ -48,30 +48,42 @@ def _mix_rows(matrix: np.ndarray, t: float, a: int, b: int) -> None:
     matrix[b] = c * row_b - s * row_a
 
 
-def _lose(amps: np.ndarray, epsilon: float) -> np.ndarray:
+def _lose(amps: np.ndarray, epsilon, kept: int | None = None) -> np.ndarray:
     """Loss through transmission ``epsilon`` on the last axis of ``amps``:
     out[..., k, a] = amps[..., a + k] sqrt(C(a + k, k)) (1-eps)**(k/2)
     eps**(a/2) for a photons kept and k lost, zero where a + k >= cutoff.
+
+    Only the first ``kept`` columns a are built (all of them by default),
+    so a caller that reads a < N + 1 alone builds (cutoff, N + 1) numbers.
+    ``epsilon`` may be an array of transmissions, one per leading index
+    of ``amps``: the rows then share one binomial table.
 
     The binomial comes from log factorials L, which cannot overflow as
     float(C(n, k)) does past n ~ 1030; L[k] + L[a] is symmetric in k and
     a, so the binomial is too. The powers are multiplied together first,
     so a 50:50 split is mirror-exact to the last bit (equal clones).
     """
-    if not 0.0 <= epsilon <= 1.0:
+    epsilon = np.asarray(epsilon, dtype=np.float64)
+    if not 0.0 <= epsilon.min() <= epsilon.max() <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
     cutoff = amps.shape[-1]
     if cutoff > MAX_LOSS_CUTOFF:
         raise ValueError(f"loss binomials overflow above cutoff {MAX_LOSS_CUTOFF:,}")
     photons = np.arange(cutoff)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(photons[1:]))))
-    kept, lost = math.sqrt(epsilon) ** photons, math.sqrt(1.0 - epsilon) ** photons
-    total = np.add.outer(photons, photons)
-    inside = total < cutoff
-    binom = np.exp(
-        0.5 * (log_fact[np.where(inside, total, 0)] - np.add.outer(log_fact, log_fact))
-    )
-    weights = np.where(inside, binom * np.multiply.outer(lost, kept), 0.0)
+    columns = photons[:kept]
+    # L[n] up to n = 2 cutoff - 2, zero from the cutoff on: where a + k >=
+    # cutoff the weight need only be finite, as it meets a padding zero
+    log_fact = np.zeros(2 * cutoff - 1)
+    np.log(photons[1:]).cumsum(out=log_fact[1:cutoff])
+    # powers as (..., 1) columns, so each transmission lays along its row
+    kept_pow = np.sqrt(epsilon)[..., None] ** columns
+    lost_pow = np.sqrt(1.0 - epsilon)[..., None] ** photons
+    total = photons[:, None] + columns
+    binom = log_fact[total]
+    binom -= log_fact[:cutoff, None] + log_fact[: columns.size]
+    binom *= 0.5
+    np.exp(binom, out=binom)
+    weights = binom * (lost_pow[..., :, None] * kept_pow[..., None, :])
     del binom  # freed before the gather, which holds the c**2 amplitudes
     # amps[..., a + k] from the amplitudes padded with zeros past the cutoff
     zeros = np.zeros(amps.shape[:-1] + (cutoff - 1,), dtype=amps.dtype)

@@ -9,6 +9,7 @@ from scipy.stats import chi2
 
 import nlasim.applications
 from nlasim import (
+    MultiModeState,
     NonconvergentError,
     TruncationWarning,
     clone_coherent,
@@ -300,31 +301,55 @@ class TestSectorRoute:
         assert report.v_plus == pytest.approx(v_plus, rel=1e-13)
 
     def test_calls_no_dense_stage(self, monkeypatch):
-        # no three-mode purification and no (c, c) two-mode squeezed state
-        # is built: the ideal map may only run on the (environment, arm A)
-        # sector amplitudes
+        # no three-mode purification, no (c, c) two-mode squeezed state and
+        # no amplified state is built: the loss kernel builds the state's
+        # and the target's sector amplitudes on one binomial table, only
+        # their N + 1 live columns at finite arm count, and all c columns
+        # for the ideal map, which scales them in place
         def refuse(*args, **kwargs):
             raise AssertionError("a dense stage ran")
 
-        ideal_map = nlasim.applications.nla_apply_asymptotic
+        lose = nlasim.applications._lose
         shapes = []
 
-        def on_sectors_only(state, gain, mode=0):
-            shapes.append(state.mode_cutoffs)
-            return ideal_map(state, gain, mode)
+        def recorded(*args, **kwargs):
+            out = lose(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
 
-        for name in ("loss_channel", "nla_apply", "fidelity"):
+        for name in ("loss_channel", "nla_apply", "nla_apply_asymptotic", "fidelity"):
             monkeypatch.setattr(nlasim.applications, name, refuse)
         for module in (nlasim.applications, nlasim.fock):
             monkeypatch.setattr(module, "epr_state", refuse, raising=False)
-        monkeypatch.setattr(
-            nlasim.applications, "nla_apply_asymptotic", on_sectors_only
-        )
-        for arms in (2, None):
+        monkeypatch.setattr(nlasim.applications, "_lose", recorded)
+        for arms in (1, 2, 3, 5, None):
             rho, _, _ = distill_numeric(0.3, 0.5, arms, 0.1, 24)
+            assert rho.factor.shape == (24**2, 24)
             purity_product(rho)
         purity_product(lossy_epr(0.3, 0.5, 24))
-        assert shapes == [(24, 24)]
+        assert shapes == [(2, 24, 2), (2, 24, 3), (2, 24, 4), (2, 24, 6), (2, 24, 24)]
+        # N + 1 columns up to the cutoff; an unphysical chi' builds no target
+        shapes.clear()
+        with pytest.warns(TruncationWarning):
+            distill_numeric(0.3, 0.5, 5, 0.1, 4)
+        distill_numeric(0.6, 1.0, 2, 0.2, 40)
+        assert shapes == [(2, 4, 4), (1, 40, 3)]
+
+    @pytest.mark.filterwarnings("ignore::nlasim.TruncationWarning")
+    @pytest.mark.parametrize("cutoff", [1, 2, 17, 40])
+    def test_ideal_map_in_place_matches_the_state_map_bitwise(self, cutoff):
+        # G's columns scaled by g**a as real numbers and multiplied by
+        # 1/sqrt(n2) are the bits of the ideal map on G as a (loss, arm A)
+        # state, whose complex division multiplies by the reciprocal
+        rng = np.random.default_rng(cutoff)
+        for _ in range(25):
+            chi, eps = rng.uniform(0.0, 0.5), rng.uniform(0.0, 1.0)
+            gain = rng.uniform(0.5, 0.85) / (chi * math.sqrt(eps) or 1.0)
+            _, lossy = nlasim.applications._lossy_sectors((chi,), (eps,), cutoff)
+            pair = MultiModeState(lossy[0].shape, lossy[0])
+            want = nla_apply_asymptotic(pair, gain, mode=1).amplitudes.real
+            nlasim.applications._amplify_ideal(lossy[0], gain)
+            assert np.array_equal(lossy[0], want)
 
     def test_nonconvergent_case_matches_dense_composition(self):
         # gain 2 on a lossless line: chi' = 1.2

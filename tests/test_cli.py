@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlasim.cli
 import nlasim.experiments
 import nlasim.nla
+from nlasim import ConfigError
 from nlasim.cli import main
 from nlasim.experiments import (
     amplify_table,
@@ -584,6 +586,41 @@ def test_runs_in_one_process_leave_no_parse_state(capsys):
     code, out, _ = run_cli(["fig3"], capsys)
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN_DIR / "fig3.csv").read_bytes()
+
+
+# argv that the top-level parser rejects, each for a different reason
+BAD_ARGV = [
+    "distill --chi 0.1 --bogus 1",  # unknown flag
+    "distill --chi abc",  # bad value
+    "fig4 --sweep alpha=1:2:3",  # bad value of a sweep
+    "clone --alpha 0.5 extra",  # extra positional
+    "distill --chi 0.1 --squeeze-r 0.2",  # exclusive flags
+    "distill",  # missing required flag
+    "",  # no arguments
+    "frobnicate --chi 0.1",  # unknown subcommand
+    "--format csv distill --chi 0.1",  # a subcommand flag before it
+]
+
+
+def _parsed(parse, argv):
+    """The Namespace ``parse`` makes of ``argv`` as plain values, or the
+    message of the ConfigError it raises."""
+    try:
+        args = vars(parse(argv))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+    # numpy sweep values do not compare as one bool
+    args["sweep"] = [(name, list(v)) for name, v in args.get("sweep", ())]
+    return args
+
+
+@pytest.mark.parametrize("argv", [*GOLDEN.values(), *BAD_ARGV])
+def test_subcommand_dispatch_parses_as_the_top_level_parser(argv):
+    # main hands an argv that starts with a subcommand straight to its
+    # parser; the Namespace, or the error, is the top-level parser's
+    argv = argv.split()
+    want = _parsed(nlasim.cli._PARSER.parse_args, argv)
+    assert _parsed(nlasim.cli._parse_args, argv) == want
 
 
 @pytest.mark.parametrize(
