@@ -42,7 +42,6 @@ from .applications import (
     distill_numeric,
     distill_params,
     postselected_prior_variance,
-    purity_product,
     sample_postselected_variance,
 )
 
@@ -79,6 +78,5 @@ __all__ = [
     "distill_numeric",
     "distill_params",
     "postselected_prior_variance",
-    "purity_product",
     "sample_postselected_variance",
 ]

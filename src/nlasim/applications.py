@@ -16,7 +16,6 @@ from .fock import (
     _coherent_cutoff,
     _epr_cutoff,
     _epr_schmidt,
-    _factor,
     _refuse_above,
     coherent_state,
     fidelity,
@@ -49,10 +48,13 @@ class EffectiveEprParams:
 class PurityReport:
     """Quadrature-correlation variances of a two-mode state.
 
-    ``v_minus`` is the squeezed combination (the smaller of the two signs),
-    ``v_plus`` the conjugate anti-squeezed one, both normalized so vacuum
-    gives 1. Their product is 1 exactly for pure two-mode squeezing and
-    grows with mixedness.
+    The quadratures are X = a + a+ and P = -i(a - a+), with vacuum
+    variance 1. ``v_minus`` is the variance of the squeezed combination,
+    the smaller-variance sign of (X_A +/- X_B)/sqrt(2); ``v_plus`` that
+    of its anti-squeezed conjugate (P_A +/- P_B)/sqrt(2). Their product
+    obeys the uncertainty bound >= 1, is 1 exactly for pure two-mode
+    squeezing (exp(-2r) and exp(+2r) at chi = tanh(r)) and grows with
+    mixedness.
     """
 
     v_minus: float
@@ -136,7 +138,9 @@ def _sector_density(sectors: np.ndarray) -> DensityOperator:
 
 
 def _sector_purity(sectors: np.ndarray) -> PurityReport:
-    """``purity_product`` of ``_sector_density(sectors)``, read off G.
+    """``PurityReport`` of ``_sector_density(sectors)``, read off G, in the
+    truncated operators' algebra: a a+ = a+ a + 1 - c |c-1><c-1| in a
+    basis cut at c.
 
     Each v_k lies in the one sector b = a + k, so <a>, <a**2>, <ab+> and
     every imaginary part vanish. What is left is <n_A>, <n_B>, <ab> and the
@@ -201,7 +205,7 @@ def distill_numeric(
     Sends arm A (mode 0) of the two-mode squeezed state through the lossy
     line, amplifies it, traces out the loss mode and returns the state, its
     fidelity against the analytic target (the lossy state with the
-    effective parameters) and its ``purity_product`` report. Exactly one of
+    effective parameters) and its quadrature ``PurityReport``. Exactly one of
     ``eta`` and ``gain`` sets the amplifier. Finite runs need ``arm_count``
     and return the unnormalized state whose trace is the success
     probability; with ``arm_count=None`` the ideal map at that gain is used
@@ -359,79 +363,3 @@ def sample_postselected_variance(
         "stderr": stderr,
         "n_accepted": int(kept.size),
     }
-
-
-def purity_product(state) -> PurityReport:
-    """Squeezed and anti-squeezed quadrature-correlation variances of a
-    two-mode state.
-
-    Quadratures are X = a + a+ and P = -i(a - a+) with vacuum variance 1.
-    The squeezed combination is the smaller-variance sign of
-    (X_A +/- X_B)/sqrt(2); the anti-squeezed one is its noncommuting
-    conjugate, the same-sign combination (P_A +/- P_B)/sqrt(2), so the
-    product obeys the uncertainty bound >= 1. A pure two-mode squeezed
-    state with parameter chi = tanh(r) gives exp(-2r), exp(+2r) and
-    product 1.
-
-    The variances come from the moments <n>, <a> and <a**2> of each mode
-    and <ab>, <ab+>, each one contraction of the factor with a shifted
-    slice of itself. They keep the truncated operators' algebra: in a
-    basis cut at c, a a+ = a+ a + 1 - c |c-1><c-1|.
-    """
-    factor, cutoffs = _factor(state)
-    if len(cutoffs) != 2:
-        raise ValueError("purity product is defined for two-mode states")
-    success = float(np.vdot(factor, factor).real)
-    if success <= 0.0:
-        raise ValueError("purity product of a zero-norm state")
-    ca, cb = cutoffs
-    # real and imaginary parts interleaved on the last axis: the real part
-    # of sum_r conj(x) y is the plain dot of two such rows
-    flat = factor.reshape(ca, cb, -1).view(np.float64)
-    real, imag = flat[..., 0::2], flat[..., 1::2]
-    root_a, root_b = np.sqrt(np.arange(1, ca)), np.sqrt(np.arange(1, cb))
-    one_a, one_b = np.ones(ca), np.ones(cb)
-
-    def moment(bra_at, ket_at, weight_a, weight_b, x=flat, y=flat):
-        # sum of weight_a[a] weight_b[b] x[bra_at] . y[ket_at] over the trace;
-        # with x = y = flat, Re <conj(F[bra_at]), F[ket_at]>
-        pairs = np.einsum("abj,abj->ab", x[bra_at], y[ket_at])
-        return float(weight_a @ pairs @ weight_b) / success
-
-    def imag_moment(*at):
-        # Im conj(x) y = Re x Im y - Im x Re y
-        return moment(*at, real, imag) - moment(*at, imag, real)
-
-    # each lowering operator pairs a level with the one above it
-    lower_a = (np.s_[:-1], np.s_[1:], root_a, one_b)
-    lower_b = (np.s_[:, :-1], np.s_[:, 1:], one_a, root_b)
-    lower_a2 = (np.s_[:-2], np.s_[2:], root_a[:-1] * root_a[1:], one_b)
-    lower_b2 = (np.s_[:, :-2], np.s_[:, 2:], one_a, root_b[:-1] * root_b[1:])
-    lower_ab = (np.s_[:-1, :-1], np.s_[1:, 1:], root_a, root_b)
-    swap_ab = (np.s_[:-1, 1:], np.s_[1:, :-1], root_a, root_b)  # a b+
-
-    probs = np.einsum("abj,abj->ab", flat, flat) / success
-    mass_a, mass_b = probs.sum(axis=1), probs.sum(axis=0)
-    n_a, n_b = float(np.arange(ca) @ mass_a), float(np.arange(cb) @ mass_b)
-    # <a a+ + a+ a> = 2<n> + 1 - c p(c-1) on the truncated basis
-    sym_a = 2.0 * n_a + 1.0 - ca * mass_a[-1]
-    sym_b = 2.0 * n_b + 1.0 - cb * mass_b[-1]
-    a2, b2 = moment(*lower_a2), moment(*lower_b2)
-    ab, swap = moment(*lower_ab), moment(*swap_ab)
-
-    x_a, x_b = 2.0 * moment(*lower_a), 2.0 * moment(*lower_b)
-    p_a, p_b = 2.0 * imag_moment(*lower_a), 2.0 * imag_moment(*lower_b)
-    x_a2, x_b2 = sym_a + 2.0 * a2, sym_b + 2.0 * b2
-    p_a2, p_b2 = sym_a - 2.0 * a2, sym_b - 2.0 * b2
-    x_ab, p_ab = 2.0 * (swap + ab), 2.0 * (swap - ab)
-
-    def variance(sign, mean_a, mean_b, sq_a, sq_b, cross):
-        # variance of (O_A + sign O_B) / sqrt(2)
-        mean = mean_a + sign * mean_b
-        return (sq_a + sq_b + 2.0 * sign * cross - mean**2) / 2.0
-
-    v_x = {sign: variance(sign, x_a, x_b, x_a2, x_b2, x_ab) for sign in (-1.0, +1.0)}
-    sign = min(v_x, key=v_x.get)
-    v_minus = v_x[sign]
-    v_plus = variance(sign, p_a, p_b, p_a2, p_b2, p_ab)
-    return PurityReport(v_minus, v_plus, v_minus * v_plus, success)

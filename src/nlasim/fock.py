@@ -353,14 +353,17 @@ def _factor(state) -> tuple[np.ndarray, tuple]:
 def fidelity(a, b) -> float:
     """Fidelity between two states in [0, 1], squared-overlap convention.
 
-    Pure-pure inputs give |<a|b>|**2, pure-mixed give <a|rho|a>, and
-    mixed-mixed the squared Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma
-    sqrt(rho)))**2. All three are ||F_a+ F_b||_1**2 over the two traces,
-    with a pure state as a one-column factor. Inputs are normalized before
-    comparison and only the basis states both cover contribute, as if the
-    smaller basis were zero padded, so unnormalized heralded outputs can
-    be compared directly against targets. Global phase never matters.
+    Pure-pure inputs give |<a|b>|**2 and pure-mixed give <a|rho|a>: both
+    are ||F_a+ F_b||**2 over the two traces, with a pure state as a
+    one-column factor. Every mixed output is scored against a pure target,
+    where Uhlmann's fidelity is <psi|rho|psi>, so two ``DensityOperator``
+    inputs raise ``TypeError``. Inputs are normalized before comparison
+    and only the basis states both cover contribute, as if the smaller
+    basis were zero padded, so unnormalized heralded outputs can be
+    compared directly against targets. Global phase never matters.
     """
+    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
+        raise TypeError("fidelity takes at most one DensityOperator")
     fa, cut_a = _factor(a)
     fb, cut_b = _factor(b)
     if len(cut_a) != len(cut_b):
@@ -374,10 +377,8 @@ def fidelity(a, b) -> float:
     shared = tuple(slice(min(x, y)) for x, y in zip(cut_a, cut_b))
     sa = fa.reshape(*cut_a, -1)[shared].reshape(-1, fa.shape[1])
     sb = fb.reshape(*cut_b, -1)[shared].reshape(-1, fb.shape[1])
+    # one side is a single column, so the overlap has rank 1 and its
+    # trace norm is its Frobenius norm
     overlap = sa.conj().T @ sb
-    if min(overlap.shape) == 1:
-        # the trace norm of a rank-1 matrix is its Frobenius norm
-        val = float(np.vdot(overlap, overlap).real)
-    else:
-        val = float(np.sum(np.linalg.svd(overlap, compute_uv=False))) ** 2
+    val = float(np.vdot(overlap, overlap).real)
     return float(min(max(val / (tr_a * tr_b), 0.0), 1.0))

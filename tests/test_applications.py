@@ -26,14 +26,20 @@ from nlasim import (
     nla_operator,
     norm_sq,
     postselected_prior_variance,
-    purity_product,
     sample_postselected_variance,
     tensor,
     vacuum,
 )
 from nlasim.experiments import distill_table, fig4_table
 from nlasim.verification import _chi_squared_z
-from conftest import dense, dense_purity_product, lossy_epr, partial_trace
+from conftest import (
+    dense,
+    dense_purity_product,
+    lossy_epr,
+    mixed_fidelity,
+    partial_trace,
+    purity_product,
+)
 
 
 class TestCloner:
@@ -269,7 +275,7 @@ def dense_distill(chi, epsilon, arm_count, eta, cutoff):
     if not params.physical:
         return rho, math.nan
     target = loss_channel(epr_state(params.chi_prime, cutoff), params.eps_prime)
-    return rho, fidelity(rho, partial_trace(target, [2]))
+    return rho, mixed_fidelity(rho, partial_trace(target, [2]))
 
 
 def _with_truncation_warnings(run):

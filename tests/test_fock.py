@@ -19,7 +19,6 @@ from nlasim import (
     norm_sq,
     normalize,
     number_state,
-    purity_product,
     tensor,
     vacuum,
 )
@@ -27,9 +26,11 @@ from conftest import (
     dense,
     dense_purity_product,
     density_from_state,
+    mixed_fidelity,
     pad_state,
     partial_trace,
     purity,
+    purity_product,
     random_density,
     random_fock,
     random_multimode,
@@ -200,7 +201,8 @@ class TestFidelity:
             a, b = random_fock(rng, 5), random_fock(rng, 5)
             assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-10
         rho, sig = random_density(rng, (4,)), random_density(rng, (4,))
-        assert abs(fidelity(rho, sig) - fidelity(sig, rho)) < 1e-10
+        with pytest.raises(TypeError):
+            fidelity(rho, sig)
 
     def test_unity_iff_equal_up_to_phase(self, rng):
         for _ in range(20):
@@ -221,8 +223,23 @@ class TestFidelity:
         a, b = random_fock(rng, 5), random_fock(rng, 5)
         pure = fidelity(a, b)
         assert fidelity(density_from_state(a), b) == pytest.approx(pure, abs=1e-10)
-        both = fidelity(density_from_state(a), density_from_state(b))
+        both = mixed_fidelity(density_from_state(a), density_from_state(b))
         assert both == pytest.approx(pure, abs=1e-8)
+
+    def test_two_mixed_states_refused(self, rng):
+        # every mixed output is scored against a pure target; the general
+        # mixed-mixed route is the tests' reference, mixed_fidelity
+        rho, sig = random_density(rng, (4,)), random_density(rng, (4,))
+        for pair in ((rho, sig), (sig, rho)):
+            with pytest.raises(TypeError, match="DensityOperator") as info:
+                fidelity(*pair)
+            assert "\n" not in str(info.value)
+        # one mixed side still takes the pure-mixed route, in either order
+        for _ in range(20):
+            a, b = random_fock(rng, 5), random_fock(rng, 6)
+            pure = fidelity(a, b)
+            assert fidelity(density_from_state(a), b) == pytest.approx(pure, abs=1e-12)
+            assert fidelity(a, density_from_state(b)) == pytest.approx(pure, abs=1e-12)
 
     def test_uhlmann_against_scipy_sqrtm(self, rng):
         # full-rank operators only: scipy's sqrtm loses about 1e-8 on
@@ -235,7 +252,7 @@ class TestFidelity:
             sig = random_density(rng, cutoffs, rank=rank)
             root = sqrtm(dense(rho))
             want = float(np.real(np.trace(sqrtm(root @ dense(sig) @ root)))) ** 2
-            assert fidelity(rho, sig) == pytest.approx(want, abs=1e-8)
+            assert mixed_fidelity(rho, sig) == pytest.approx(want, abs=1e-8)
 
     def test_zero_norm_rejected(self):
         dead = MultiModeState((3,), np.zeros(3))
@@ -407,10 +424,16 @@ def test_factor_routes_match_dense_references(seed, cut_a, cut_b, rank_a, rank_b
     rng = np.random.default_rng(seed)
     a = _random_two_mode(rng, cut_a, rank_a)
     b = _random_two_mode(rng, cut_b, rank_b)
-    # mixed-mixed goes through two eigensolves on the dense side
-    tol = 1e-8 if rank_a and rank_b else 1e-12
-    assert fidelity(a, b) == pytest.approx(dense_fidelity(a, b), abs=tol)
-    assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-12)
+    # mixed-mixed goes through two eigensolves on the dense side, and is
+    # the tests' reference route: the library refuses it
+    if rank_a and rank_b:
+        route, tol = mixed_fidelity, 1e-8
+        with pytest.raises(TypeError):
+            fidelity(a, b)
+    else:
+        route, tol = fidelity, 1e-12
+    assert route(a, b) == pytest.approx(dense_fidelity(a, b), abs=tol)
+    assert route(a, b) == pytest.approx(route(b, a), abs=1e-12)
     for state in (a, b):
         rho = state if isinstance(state, DensityOperator) else density_from_state(state)
         mat = dense(rho) / rho.trace

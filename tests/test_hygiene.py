@@ -1,7 +1,8 @@
 """Import hygiene of the package sources: no module imports a name it never
 uses or a package beyond the standard library and numpy, the package exports
 exactly what its ``__init__`` imports, no private helper or module constant
-is left with no reader, and only ``fock`` sizes a run."""
+is left with no reader, only ``fock`` sizes a run and no module calls
+``numpy.linalg``."""
 
 import ast
 import sys
@@ -147,7 +148,28 @@ def test_pure_state_modules_import_no_density_operator(name):
 
 
 def test_tables_read_purity_off_the_sectors():
-    # distill and fig4 take distill_numeric's sector report; purity_product
-    # on the c**2 x c factor stays for general two-mode states and the tests
-    tree = ast.parse((Path(nlasim.__file__).parent / "experiments.py").read_text())
-    assert "purity_product" not in _imported_names(tree)
+    # distill and fig4 take distill_numeric's sector report; the factor
+    # route purity_product is the tests' reference, in conftest, and no
+    # library module defines or imports it
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        names = _imported_names(tree) + [
+            node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+        ]
+        assert "purity_product" not in names, f"{path.name} defines or imports it"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dense_linear_algebra(path):
+    # the library works on factors and closed forms; eigensolvers, SVDs
+    # and norms of numpy.linalg belong to the tests' dense references
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            calls.append(f"line {node.lineno}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [getattr(node, "module", None) or ""]
+            modules += [alias.name for alias in node.names]
+            if any("linalg" in m.split(".") for m in modules):
+                calls.append(f"line {node.lineno}: import")
+    assert not calls, f"{path.name} uses numpy.linalg: {calls}"

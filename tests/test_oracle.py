@@ -4,6 +4,7 @@ pattern), and equivalence with the closed-form diagonal operator."""
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +147,20 @@ def reference_coefficients(arm_count: int, eta: float, signs, top: int) -> np.nd
     return coeffs
 
 
+def lopsided_circuit(arm_count: int, eta: float) -> np.ndarray:
+    """``_circuit_matrix`` with arm 0's ancilla mixing 40:60 with its arm
+    instead of 50:50: the click patterns then herald different
+    coefficients, so each column shows which pattern it belongs to."""
+    n = arm_count
+    u = np.eye(3 * n)
+    for k in range(1, n):
+        _mix_rows(u, 1.0 / (n - k + 1), k, k - 1)
+    for arm in range(n):
+        _mix_rows(u, eta, n + arm, 2 * n + arm)
+        _mix_rows(u, 0.4 if arm == 0 else 0.5, arm, 2 * n + arm)
+    return u
+
+
 def pattern_outputs(state: MultiModeState, arm_count: int, eta: float) -> dict:
     """{signs: (output, probability)} for every pattern, from the library's
     coefficient columns times the input amplitudes, padded to its cutoff."""
@@ -243,6 +258,21 @@ class TestPatternBookkeeping:
             for signs, column in zip(patterns, coeffs.T):
                 ref = reference_coefficients(arms, eta, signs, top)
                 assert np.max(np.abs(column - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("arms", range(1, ORACLE_ARM_LIMIT + 1))
+    def test_columns_follow_product_order(self, monkeypatch, arms):
+        # on the true circuit every column agrees to rounding, so only a
+        # lopsided one tells the columns apart and pins their order
+        for module in (nlasim.nla, sys.modules[__name__]):
+            monkeypatch.setattr(module, "_circuit_matrix", lopsided_circuit)
+        coeffs = _pattern_coefficients(arms, 0.3, arms)
+        if arms > 1:
+            # the patterns differ far past the 1e-13 the columns are held to
+            assert np.ptp(coeffs, axis=1).max() > 1e-6
+        patterns = itertools.product((+1, -1), repeat=arms)
+        for signs, column in zip(patterns, coeffs.T):
+            ref = reference_coefficients(arms, 0.3, signs, arms)
+            assert np.max(np.abs(column - ref)) <= 1e-13
 
     @pytest.mark.parametrize("arms", range(1, ORACLE_ARM_LIMIT + 1))
     def test_no_work_per_pattern(self, monkeypatch, arms):
