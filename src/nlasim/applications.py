@@ -22,9 +22,8 @@ from .fock import (
     norm_sq,
 )
 from .nla import (
-    _check_convergent,
     _gain_squared,
-    _ideal_coefficients,
+    _ideal_map,
     eta_from_gain,
     gain_from_eta,
     nla_apply,
@@ -60,7 +59,7 @@ class PurityReport:
     v_minus: float
     v_plus: float
     product: float
-    success_prob: float | None
+    success_prob: float
 
 
 def _boost(epsilon: float, gain_sq: float) -> float:
@@ -101,18 +100,6 @@ def _lossy_sectors(chis, epsilons, cutoff: int, kept: int | None = None):
     """
     schmidt = np.array([_epr_schmidt(chi, cutoff) for chi in chis])
     return schmidt, _lose(schmidt, epsilons, kept)
-
-
-def _amplify_ideal(sectors: np.ndarray, gain: float) -> None:
-    """Scale the columns a of G by g**a and renormalize, in place: the
-    ideal map on arm A, to the last bit of ``nla_apply_asymptotic`` on G
-    as a (loss, arm A) state, whose complex division by sqrt(n2)
-    multiplies by its reciprocal."""
-    sectors *= _ideal_coefficients(gain, sectors.shape[1])
-    weights = sectors * sectors
-    _check_convergent(weights.sum(axis=0), gain)
-    # G[0, 0] = sqrt(1 - chi**2) is not amplified, so the norm is positive
-    sectors *= 1.0 / math.sqrt(float(weights.sum()))
 
 
 def _sector_density(sectors: np.ndarray) -> DensityOperator:
@@ -216,7 +203,7 @@ def distill_numeric(
     amplifier scales their columns a. An N-arm amplifier zeroes every
     column past N, so a finite run builds only the (c, N + 1) columns it
     keeps, and the target's matching ones; the ideal map scales all c
-    columns in place (``_amplify_ideal``). The state and the target are
+    columns in place (``nla._ideal_map``). The state and the target are
     both sums over k of one vector on the diagonal b = a + k, so the
     overlap of their factors is diagonal in k with nonnegative entries and
     its trace norm is the plain overlap, which only the state's columns
@@ -239,7 +226,7 @@ def distill_numeric(
     schmidt, lossy = _lossy_sectors(chis, epsilons, cutoff, kept)
     sectors = lossy[0]
     if arm_count is None:
-        _amplify_ideal(sectors, gain)
+        _ideal_map(sectors, gain, 1)
     else:
         sectors *= nla_operator(arm_count, eta, sectors.shape[1])
     purity = _sector_purity(sectors)

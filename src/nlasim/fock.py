@@ -10,6 +10,7 @@ probability. Normalization is always an explicit call, never a side effect.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -155,17 +156,23 @@ def _poisson_kept(mu: float, cutoff: int | None = None) -> tuple[int, float]:
 
     With ``cutoff=None`` the cutoff is the smallest whose dropped tail is
     below ``DEFAULT_TAIL_TOL``. This is the one measure of a coherent tail,
-    so a cutoff it picks never reads as truncated. Returns (cutoff, kept).
+    so a cutoff it picks never reads as truncated. A sum that would start
+    from a subnormal exp(-mu), above mu = 708.4, has lost its digits and is
+    refused; so is one from 0 when the cutoff is automatic. Returns
+    (cutoff, kept).
     """
     term = math.exp(-mu)
+    if 0.0 < term < sys.float_info.min or (term == 0.0 and cutoff is None):
+        raise TruncationError(
+            f"coherent state of |alpha|**2 = {mu:.6g} is above the 708.4 limit, "
+            "where exp(-|alpha|**2) leaves the float64 normal range; lower alpha"
+        )
     kept = term
     n = 0
     while (1.0 - kept >= DEFAULT_TAIL_TOL) if cutoff is None else (n + 1 < cutoff):
         n += 1
         term *= mu / n
         kept += term
-        if cutoff is None and n > 10_000:
-            raise TruncationError("coherent tail does not reach the tolerance")
     return n + 1, kept
 
 
@@ -184,9 +191,10 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> MultiModeState:
     below ``DEFAULT_TAIL_TOL``. A vector that still drops that much comes
     back unnormalized with a ``TruncationWarning``; one whose kept Poisson
     mass underflows to 0 raises ``ValueError``, as does an ``alpha`` whose
-    squared modulus is not finite. The tail is measured as
-    ``minimal_coherent_cutoff`` measures it, so no cutoff chosen by the
-    library warns.
+    squared modulus is not finite. A squared modulus above 708.4, where
+    exp(-|alpha|**2) is subnormal, raises ``TruncationError``. The tail is
+    measured as ``minimal_coherent_cutoff`` measures it, so no cutoff
+    chosen by the library warns.
     """
     alpha = complex(alpha)
     mu = _squared_modulus(alpha, "amplitude")

@@ -87,26 +87,32 @@ def nla_operator(arm_count: int, eta: float, cutoff: int) -> np.ndarray:
     return coeffs
 
 
-def _check_convergent(weights: np.ndarray, gain: float):
-    """Reject gain maps whose scaled tail is not decaying at the cutoff."""
-    total = float(weights.sum())
-    if len(weights) < 2 or total == 0.0:
-        return
-    if weights[-1] > 1e-12 * total and weights[-1] >= weights[-2]:
-        raise NonconvergentError(
-            f"state scaled by gain {gain:.6g} does not converge within the "
-            "cutoff (amplified parameter >= 1)"
-        )
-
-
-def _ideal_coefficients(gain: float, cutoff: int) -> np.ndarray:
-    """Coefficients g**n of the ideal map, n < cutoff; a gain that
-    overflows them within the cutoff is rejected."""
+def _ideal_map(amps: np.ndarray, gain: float, axis: int) -> None:
+    """The ideal map |n> -> g**n |n> on one axis of ``amps``, renormalized,
+    in place. Raises ``NonconvergentError`` if that axis's scaled marginal
+    is not decaying at the cutoff, and ``ValueError`` if g**n overflows
+    within it. A real divisor makes complex division multiply by its
+    reciprocal, so real and complex amplitudes take the same bits."""
+    cutoff = amps.shape[axis]
     with np.errstate(over="ignore"):
         coeffs = gain ** np.arange(cutoff, dtype=np.float64)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(f"gain {gain:.6g} gives non-finite g**n within the cutoff")
-    return coeffs
+    shape = [1] * amps.ndim
+    shape[axis] = cutoff
+    amps *= coeffs.reshape(shape)
+    weights = np.abs(amps) ** 2
+    marginal = weights.sum(axis=tuple(i for i in range(amps.ndim) if i != axis))
+    total = float(marginal.sum())
+    if cutoff >= 2 and marginal[-1] > 1e-12 * total and marginal[-1] >= marginal[-2]:
+        raise NonconvergentError(
+            f"state scaled by gain {gain:.6g} does not converge within the "
+            "cutoff (amplified parameter >= 1)"
+        )
+    n2 = float(weights.sum())
+    if n2 <= 0.0:
+        raise ValueError("amplified state has zero norm")
+    amps *= 1.0 / math.sqrt(n2)
 
 
 def _mode_shape(mm: MultiModeState, mode: int) -> list:
@@ -141,15 +147,12 @@ def nla_apply_asymptotic(state, gain: float, mode: int = 0) -> MultiModeState:
     if gain <= 0.0:
         raise ValueError("gain must be positive")
     mm = _pure(state)
-    shape = _mode_shape(mm, mode)
-    amps = mm.amplitudes * _ideal_coefficients(gain, shape[mode]).reshape(shape)
-    weights = np.abs(amps) ** 2
-    axes = tuple(i for i in range(mm.n_modes) if i != mode)
-    _check_convergent(weights.sum(axis=axes) if axes else weights, gain)
-    n2 = float(weights.sum())
-    if n2 <= 0.0:
-        raise ValueError("amplified state has zero norm")
-    return MultiModeState(mm.mode_cutoffs, amps / math.sqrt(n2))
+    _mode_shape(mm, mode)  # rejects a mode out of range
+    amps = mm.amplitudes.copy()
+    _ideal_map(amps, gain, mode)
+    # read-only, so the state takes it over rather than copying it
+    amps.setflags(write=False)
+    return MultiModeState(mm.mode_cutoffs, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +257,10 @@ def physical_circuit(
     both ports), recombines through the inverse splitter and projects the
     non-output ports on vacuum. Each click pattern's amplitudes are
     permanents of the circuit's mode matrix (see ``_pattern_coefficients``).
-    All 2**N accepted patterns are summed; after feed-forward they herald
-    the same pure state, returned with squared norm equal to the total
-    success probability.
+    After feed-forward all 2**N accepted patterns herald the same pure
+    state, so the all-plus pattern's output is returned, scaled to the
+    squared norm of the summed pattern probabilities: the total success
+    probability.
     """
     if arm_count < 1:
         raise ValueError("arm_count must be >= 1")
@@ -275,17 +279,12 @@ def physical_circuit(
     live = np.flatnonzero(amps)
     top = min(int(live[-1]), arm_count)
     coeffs = _pattern_coefficients(arm_count, eta, top)
-    outputs = np.zeros((2**arm_count, amps.size), dtype=np.complex128)
-    outputs[:, : top + 1] = amps[: top + 1] * coeffs.T
-    total = 0.0
-    # plain left-to-right addition in pattern order (sum() compensates on
-    # Python >= 3.12, which would move the last bits)
-    for out in outputs:
-        total += float(np.vdot(out, out).real)
-    # the all-plus pattern, column 0
-    ref_prob = float(np.vdot(outputs[0], outputs[0]).real)
-    scale = math.sqrt(total / ref_prob) if ref_prob > 0.0 else 0.0
-    return MultiModeState(inp.mode_cutoffs, outputs[0] * scale)
+    probs = np.abs(amps[: top + 1]) ** 2 @ coeffs**2
+    # the all-plus pattern, column 0, carries the summed probability
+    scale = math.sqrt(probs.sum() / probs[0]) if probs[0] > 0.0 else 0.0
+    out = np.zeros(amps.size, dtype=np.complex128)
+    out[: top + 1] = amps[: top + 1] * coeffs[:, 0] * scale
+    return MultiModeState(inp.mode_cutoffs, out)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from scipy.stats import chi2
 
 import nlasim.applications
+import nlasim.nla
 from nlasim import (
     MultiModeState,
     NonconvergentError,
@@ -344,9 +345,9 @@ class TestSectorRoute:
     @pytest.mark.filterwarnings("ignore::nlasim.TruncationWarning")
     @pytest.mark.parametrize("cutoff", [1, 2, 17, 40])
     def test_ideal_map_in_place_matches_the_state_map_bitwise(self, cutoff):
-        # G's columns scaled by g**a as real numbers and multiplied by
-        # 1/sqrt(n2) are the bits of the ideal map on G as a (loss, arm A)
-        # state, whose complex division multiplies by the reciprocal
+        # the one ideal-map kernel on G's real columns, in place, and on G
+        # as a complex (loss, arm A) state give the same bits: a real
+        # divisor makes complex division multiply by its reciprocal
         rng = np.random.default_rng(cutoff)
         for _ in range(25):
             chi, eps = rng.uniform(0.0, 0.5), rng.uniform(0.0, 1.0)
@@ -354,7 +355,7 @@ class TestSectorRoute:
             _, lossy = nlasim.applications._lossy_sectors((chi,), (eps,), cutoff)
             pair = MultiModeState(lossy[0].shape, lossy[0])
             want = nla_apply_asymptotic(pair, gain, mode=1).amplitudes.real
-            nlasim.applications._amplify_ideal(lossy[0], gain)
+            nlasim.nla._ideal_map(lossy[0], gain, 1)
             assert np.array_equal(lossy[0], want)
 
     def test_nonconvergent_case_matches_dense_composition(self):

@@ -435,6 +435,7 @@ BAD_INPUTS = [
     "verify --samples 1000000000000",  # 1 by traceback, after the oracle sweep
     "clone --alpha 20 --cutoff 1200",  # 1 by traceback: OverflowError
     "distill --chi 0.3 --asymptotic --gain 1e-200",  # 1 by traceback: ZeroDivisionError
+    "amplify --alpha 27 --eta 0.5 --arms 2",  # 0: 886 rows missing 1e-8 of tail mass
     *OVERSIZED,
 ]
 

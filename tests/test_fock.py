@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nlasim import (
     DensityOperator,
     MultiModeState,
+    TruncationError,
     TruncationWarning,
     coherent_state,
     epr_state,
@@ -90,6 +91,28 @@ class TestCoherentState:
                 with pytest.warns(TruncationWarning):
                     short = coherent_state(alpha, c - 1)
                 assert 1.0 - norm_sq(short) >= 1e-12
+
+    @pytest.mark.parametrize("cutoff", [None, 900])
+    def test_subnormal_poisson_start_refused(self, cutoff):
+        # exp(-729) is subnormal: a running sum from it reaches its
+        # tolerance at cutoff 886, which keeps only 1 - 1e-8, unwarned
+        with pytest.raises(TruncationError, match="708.4"):
+            coherent_state(27.0, cutoff)
+
+    def test_minimal_cutoff_matches_log_space_tail(self):
+        def reference(mu):
+            # smallest c whose tail sum_{n >= c} exp(-mu) mu**n / n! is below
+            # the tolerance, with each term taken in log space and the tail
+            # summed from its small end
+            log_mu, tail = math.log(mu), 0.0
+            for n in range(int(mu + 40.0 * math.sqrt(mu) + 60.0), -1, -1):
+                tail += math.exp(n * log_mu - mu - math.lgamma(n + 1))
+                if tail >= 1e-12:
+                    return n + 1
+            return 1
+
+        for mu in np.geomspace(1e-4, 708.39, 60):
+            assert minimal_coherent_cutoff(math.sqrt(mu)) == reference(mu), mu
 
 
 class TestEprState:
