@@ -23,6 +23,7 @@ from .fock import (
     DensityOperator,
     _coherent_cutoff,
     _epr_cutoff,
+    _overlap_ratio,
     _refuse_above,
     coherent_state,
     epr_state,
@@ -145,8 +146,7 @@ def _misfire_table(alpha, arms, eta, gamma, cutoff, gain) -> TableResult:
     factor = np.stack([first.amplitudes, second.amplitudes], axis=1)
     rho = DensityOperator(first.mode_cutoffs, factor)
     accept = rho.trace
-    gram = rho.factor.conj().T @ rho.factor
-    mixed_purity = float(np.vdot(gram, gram).real) / accept**2
+    mixed_purity = _overlap_ratio(rho.factor, rho.factor, accept, accept)
     # a vacuum input has no misfire branch: nan, as for a zero output
     term_overlap = math.nan if norm_sq(second) == 0.0 else fidelity(first, second)
     fid = fidelity(rho, coherent_state(gain * alpha, cutoff))

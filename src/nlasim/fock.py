@@ -358,6 +358,18 @@ def _factor(state) -> tuple[np.ndarray, tuple]:
     return mm.amplitudes.reshape(-1, 1), mm.mode_cutoffs
 
 
+def _overlap_ratio(fa, fb, tr_a: float, tr_b: float) -> float:
+    """||fa+ fb||**2 / (tr_a tr_b) for traces above 0. The overlap and each
+    trace are scaled by exact powers of two near 1/sqrt(trace), at most
+    2**511 so that their product is finite: the ratio keeps the unscaled
+    bits, and tiny traces do not underflow."""
+    scale_a = math.ldexp(1.0, min(511, -(math.frexp(tr_a)[1] // 2)))
+    scale_b = math.ldexp(1.0, min(511, -(math.frexp(tr_b)[1] // 2)))
+    overlap = (fa.conj().T @ fb) * (scale_a * scale_b)
+    val = float(np.vdot(overlap, overlap).real)
+    return val / ((tr_a * scale_a * scale_a) * (tr_b * scale_b * scale_b))
+
+
 def fidelity(a, b) -> float:
     """Fidelity between two states in [0, 1], squared-overlap convention.
 
@@ -368,7 +380,8 @@ def fidelity(a, b) -> float:
     inputs raise ``TypeError``. Inputs are normalized before comparison
     and only the basis states both cover contribute, as if the smaller
     basis were zero padded, so unnormalized heralded outputs can be
-    compared directly against targets. Global phase never matters.
+    compared directly against targets. Global phase never matters, and
+    norms whose product underflows are scaled by exact powers of two.
     """
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
         raise TypeError("fidelity takes at most one DensityOperator")
@@ -387,6 +400,4 @@ def fidelity(a, b) -> float:
     sb = fb.reshape(*cut_b, -1)[shared].reshape(-1, fb.shape[1])
     # one side is a single column, so the overlap has rank 1 and its
     # trace norm is its Frobenius norm
-    overlap = sa.conj().T @ sb
-    val = float(np.vdot(overlap, overlap).real)
-    return float(min(max(val / (tr_a * tr_b), 0.0), 1.0))
+    return float(min(max(_overlap_ratio(sa, sb, tr_a, tr_b), 0.0), 1.0))

@@ -115,30 +115,21 @@ def _ideal_map(amps: np.ndarray, gain: float, axis: int) -> None:
     amps *= 1.0 / math.sqrt(n2)
 
 
-def _mode_shape(mm: MultiModeState, mode: int) -> list:
-    """Broadcast shape that lays a number-basis vector along one mode."""
-    if not 0 <= mode < mm.n_modes:
-        raise ValueError(f"mode {mode} out of range")
-    shape = [1] * mm.n_modes
-    shape[mode] = mm.mode_cutoffs[mode]
-    return shape
-
-
-def nla_apply(state, arm_count: int, eta: float, mode: int = 0) -> MultiModeState:
-    """Apply the N-arm amplifier to one mode of a pure state.
+def nla_apply(state, arm_count: int, eta: float) -> MultiModeState:
+    """Apply the N-arm amplifier to the first mode of a pure state.
 
     The coefficients are built at that mode's cutoff. The output is the
     raw unnormalized state; its squared norm is the success probability
     summed over all 2**N accepted patterns.
     """
     mm = _pure(state)
-    shape = _mode_shape(mm, mode)
-    coeffs = nla_operator(arm_count, eta, shape[mode])
+    coeffs = nla_operator(arm_count, eta, mm.mode_cutoffs[0])
+    shape = (-1,) + (1,) * (mm.n_modes - 1)
     return MultiModeState(mm.mode_cutoffs, mm.amplitudes * coeffs.reshape(shape))
 
 
-def nla_apply_asymptotic(state, gain: float, mode: int = 0) -> MultiModeState:
-    """Apply the ideal large-arm-count map |n> -> g**n |n> to one mode.
+def nla_apply_asymptotic(state, gain: float) -> MultiModeState:
+    """Apply the ideal large-arm-count map |n> -> g**n |n> to the first mode.
 
     The ideal map has no herald and no success probability, so the output
     is renormalized. Raises ``NonconvergentError`` if the scaled tail
@@ -147,9 +138,8 @@ def nla_apply_asymptotic(state, gain: float, mode: int = 0) -> MultiModeState:
     if gain <= 0.0:
         raise ValueError("gain must be positive")
     mm = _pure(state)
-    _mode_shape(mm, mode)  # rejects a mode out of range
     amps = mm.amplitudes.copy()
-    _ideal_map(amps, gain, mode)
+    _ideal_map(amps, gain, 0)
     # read-only, so the state takes it over rather than copying it
     amps.setflags(write=False)
     return MultiModeState(mm.mode_cutoffs, amps)

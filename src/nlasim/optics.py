@@ -92,8 +92,8 @@ def _lose(amps: np.ndarray, epsilon, kept: int | None = None) -> np.ndarray:
     return out
 
 
-def loss_channel(state, epsilon: float, mode: int = 0) -> MultiModeState:
-    """Couple one mode to vacuum through transmissivity ``epsilon``.
+def loss_channel(state, epsilon: float) -> MultiModeState:
+    """Couple the first mode to vacuum through transmissivity ``epsilon``.
 
     Returns the purification: the environment is appended as the last mode
     and holds the lost photons with all-positive amplitudes
@@ -101,8 +101,6 @@ def loss_channel(state, epsilon: float, mode: int = 0) -> MultiModeState:
     gives the lossy state.
     """
     mm = _pure(state)
-    if not 0 <= mode < mm.n_modes:
-        raise ValueError(f"mode {mode} out of range")
     # laid out (other modes, environment, mode): move the kept photons back
-    out = np.moveaxis(_lose(np.moveaxis(mm.amplitudes, mode, -1), epsilon), -1, mode)
+    out = np.moveaxis(_lose(np.moveaxis(mm.amplitudes, 0, -1), epsilon), -1, 0)
     return MultiModeState(out.shape, out)

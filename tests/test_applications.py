@@ -345,18 +345,26 @@ class TestSectorRoute:
     @pytest.mark.filterwarnings("ignore::nlasim.TruncationWarning")
     @pytest.mark.parametrize("cutoff", [1, 2, 17, 40])
     def test_ideal_map_in_place_matches_the_state_map_bitwise(self, cutoff):
-        # the one ideal-map kernel on G's real columns, in place, and on G
-        # as a complex (loss, arm A) state give the same bits: a real
-        # divisor makes complex division multiply by its reciprocal
+        # the one ideal-map kernel gives the same bits on real and complex
+        # amplitudes: a real divisor makes complex division multiply by its
+        # reciprocal
         rng = np.random.default_rng(cutoff)
         for _ in range(25):
             chi, eps = rng.uniform(0.0, 0.5), rng.uniform(0.0, 1.0)
             gain = rng.uniform(0.5, 0.85) / (chi * math.sqrt(eps) or 1.0)
             _, lossy = nlasim.applications._lossy_sectors((chi,), (eps,), cutoff)
-            pair = MultiModeState(lossy[0].shape, lossy[0])
-            want = nla_apply_asymptotic(pair, gain, mode=1).amplitudes.real
-            nlasim.nla._ideal_map(lossy[0], gain, 1)
-            assert np.array_equal(lossy[0], want)
+            sectors = lossy[0]
+            # G as an (arm A, loss) state through the public route, against
+            # the kernel on a real C-ordered copy, along axis 0
+            pair = MultiModeState(sectors.T.shape, sectors.T)
+            want = np.ascontiguousarray(sectors.T)
+            nlasim.nla._ideal_map(want, gain, 0)
+            assert np.array_equal(nla_apply_asymptotic(pair, gain).amplitudes.real, want)
+            # G's real columns in place against a complex copy, along axis 1
+            as_complex = sectors.astype(np.complex128)
+            nlasim.nla._ideal_map(as_complex, gain, 1)
+            nlasim.nla._ideal_map(sectors, gain, 1)
+            assert np.array_equal(sectors, as_complex.real)
 
     def test_nonconvergent_case_matches_dense_composition(self):
         # gain 2 on a lossless line: chi' = 1.2

@@ -133,6 +133,21 @@ class TestAmplify:
         column = lines[0].split(",").index("term_fidelity")
         assert all(math.isnan(float(l.split(",")[column])) for l in lines[1:])
 
+    @pytest.mark.parametrize("alpha", ["20", "26"])
+    def test_misfire_of_a_tiny_acceptance(self, alpha, capsys):
+        # acceptances near 1e-170 and 1e-290 square below the float64 range
+        argv = ["amplify", "--alpha", alpha, "--eta", "0.5", "--arms", "2"]
+        code, out, err = run_cli(argv + ["--gamma", "0.01"], capsys)
+        assert code == 0
+        assert err == ""
+        lines = [l for l in out.splitlines() if not l.startswith("#")]
+        cols = lines[0].split(",")
+        row = lines[1].split(",")
+        assert 0.0 < float(row[cols.index("purity")]) <= 1.0
+        assert math.isfinite(float(row[cols.index("term_fidelity")]))
+        probs = [float(l.split(",")[cols.index("prob_n")]) for l in lines[1:]]
+        assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+
     def test_misfire_branches_are_computed_once(self, monkeypatch, capsys):
         # the table reads both branches off the mixture's factor
         calls = []
@@ -436,6 +451,7 @@ BAD_INPUTS = [
     "clone --alpha 20 --cutoff 1200",  # 1 by traceback: OverflowError
     "distill --chi 0.3 --asymptotic --gain 1e-200",  # 1 by traceback: ZeroDivisionError
     "amplify --alpha 27 --eta 0.5 --arms 2",  # 0: 886 rows missing 1e-8 of tail mass
+    "amplify --alpha 20 --gamma 0.01 --cutoff 10",  # 1 by traceback: ZeroDivisionError
     *OVERSIZED,
 ]
 

@@ -277,6 +277,20 @@ class TestFidelity:
             want = float(np.real(np.trace(sqrtm(root @ dense(sig) @ root)))) ** 2
             assert mixed_fidelity(rho, sig) == pytest.approx(want, abs=1e-8)
 
+    def test_tiny_norms_keep_the_fidelity_bitwise(self, rng):
+        # squared norms near 2**-1000 multiply below the float64 range;
+        # scaling by powers of two keeps every bit of the unscaled value
+        tiny = 2.0**-500
+        for _ in range(20):
+            a, b = random_fock(rng, 5), random_fock(rng, 6)
+            rho = random_density(rng, (5,))
+            small_a = MultiModeState(a.mode_cutoffs, a.amplitudes * tiny)
+            small_b = MultiModeState(b.mode_cutoffs, b.amplitudes * tiny)
+            small_rho = DensityOperator(rho.basis_cutoffs, rho.factor * tiny)
+            assert fidelity(small_a, small_b) == fidelity(a, b)
+            assert fidelity(small_rho, small_b) == fidelity(rho, b)
+            assert fidelity(small_b, small_rho) == fidelity(b, rho)
+
     def test_zero_norm_rejected(self):
         dead = MultiModeState((3,), np.zeros(3))
         with pytest.raises(ValueError):

@@ -60,7 +60,7 @@ class TestBeamsplitter:
 
     def test_identity_at_full_transmission(self, rng):
         state = random_multimode(rng, (4, 4))
-        out = loss_channel(state, 1.0, 1)
+        out = loss_channel(state, 1.0)
         assert np.array_equal(out.amplitudes, tensor(state, vacuum(4)).amplitudes)
 
     def test_single_photon_balanced(self):
@@ -98,17 +98,16 @@ class TestBeamsplitter:
             n_modes = int(rng.integers(1, 4))
             cutoffs = tuple(int(c) for c in rng.integers(1, 6, size=n_modes))
             state = random_multimode(rng, cutoffs)
-            for mode in range(n_modes):
-                joint = tensor(state, vacuum(cutoffs[mode]))
-                want = beamsplitter(joint, t, (n_modes, mode)).amplitudes
-                out = loss_channel(state, t, mode).amplitudes
-                assert np.max(np.abs(out - want)) < 1e-12, (cutoffs, mode)
+            joint = tensor(state, vacuum(cutoffs[0]))
+            want = beamsplitter(joint, t, (n_modes, 0)).amplitudes
+            out = loss_channel(state, t).amplitudes
+            assert np.max(np.abs(out - want)) < 1e-12, cutoffs
 
     def test_norm_and_sector_preservation(self, rng):
         # input photon number n of the lossy mode ends up split between the
         # mode and the environment, n in total
         state = random_multimode(rng, (6, 3))
-        out = loss_channel(state, 0.37, 0)
+        out = loss_channel(state, 0.37)
         assert abs(norm_sq(out) - norm_sq(state)) < 1e-12
         grid = np.add.outer(np.arange(6), np.arange(6))
         lost = np.moveaxis(out.amplitudes, 2, 1)  # (mode, environment, other)
@@ -125,23 +124,19 @@ class TestBeamsplitter:
 
     @pytest.mark.parametrize("cutoff", range(1, 41))
     def test_matches_slab_reference(self, rng, cutoff):
-        # one mode at this cutoff among up to two small ones; every mode loses
+        # the lossy first mode at this cutoff, before up to two small ones
         for eps in (0.0, 0.5, 1.0, float(rng.uniform())):
             n_modes = int(rng.integers(1, 4))
             cutoffs = [cutoff] + [int(c) for c in rng.integers(1, 6, size=n_modes - 1)]
-            state = random_multimode(rng, tuple(rng.permutation(cutoffs)))
-            for mode in range(n_modes):
-                out = loss_channel(state, eps, mode).amplitudes
-                assert np.array_equal(out, slab_loss(state, eps, mode)), (eps, mode)
+            state = random_multimode(rng, tuple(cutoffs))
+            out = loss_channel(state, eps).amplitudes
+            assert np.array_equal(out, slab_loss(state, eps)), (eps, cutoffs)
 
     def test_mode_validation(self, rng):
         state = random_multimode(rng, (3, 3))
-        for mode in (-1, 2):
-            with pytest.raises(ValueError):
-                loss_channel(state, 0.5, mode)
         for eps in (-0.1, 1.2):
             with pytest.raises(ValueError):
-                loss_channel(state, eps, 0)
+                loss_channel(state, eps)
 
 
 class TestLossAtLargeCutoff:
@@ -150,7 +145,7 @@ class TestLossAtLargeCutoff:
         amps = np.zeros((cutoff, cutoff), dtype=np.complex128)
         amps[n, n] = 1.0 / math.sqrt(2.0)
         state = MultiModeState((cutoff, cutoff), amps)
-        out = loss_channel(state, t, 0)
+        out = loss_channel(state, t)
         assert abs(norm_sq(out) - 0.5) <= 0.5e-12
 
     def test_trace_at_cutoff_160(self):
@@ -302,21 +297,21 @@ def kraus_loss(state, epsilon, mode):
     return out
 
 
-def lossy(state, epsilon, mode=0):
-    """Lossy state through the library: trace the purification's
-    environment, which is the last mode."""
-    return partial_trace(loss_channel(state, epsilon, mode), [state.n_modes])
+def lossy(state, epsilon):
+    """Lossy state of the first mode through the library: trace the
+    purification's environment, which is the last mode."""
+    return partial_trace(loss_channel(state, epsilon), [state.n_modes])
 
 
 class TestLossChannel:
     def test_full_transmission_is_identity(self, rng):
         state = random_fock(rng, 5)
-        rho = lossy(state, 1.0, 0)
+        rho = lossy(state, 1.0)
         want = np.outer(state.amplitudes, state.amplitudes.conj())
         assert np.max(np.abs(dense(rho) - want)) < 1e-12
 
     def test_zero_transmission_gives_vacuum(self):
-        rho = lossy(number_state(1, 3), 0.0, 0)
+        rho = lossy(number_state(1, 3), 0.0)
         want = np.zeros((3, 3))
         want[0, 0] = 1.0
         assert np.max(np.abs(dense(rho) - want)) < 1e-12
@@ -326,7 +321,7 @@ class TestLossChannel:
         chi, eps, c = 0.5, 0.5, 6
         with pytest.warns(TruncationWarning):
             source = epr_state(chi, c)
-        joint = loss_channel(source, eps, mode=0)
+        joint = loss_channel(source, eps)
         for n in range(c):
             for k in range(n + 1):
                 want = (
@@ -340,36 +335,35 @@ class TestLossChannel:
 
     def test_environment_trace_matches_direct(self, rng):
         state = random_multimode(rng, (4, 3))
-        via_env = lossy(state, 0.6, mode=0)
+        via_env = lossy(state, 0.6)
         direct = kraus_loss(state, 0.6, mode=0)
         assert np.max(np.abs(dense(via_env) - direct)) < 1e-12
 
     def test_composition_law(self, rng):
         for _ in range(5):
             state = random_fock(rng, 6)
-            chained = loss_channel(loss_channel(state, 0.7, 0), 0.6, 0)
+            chained = loss_channel(loss_channel(state, 0.7), 0.6)
             twice = partial_trace(chained, [1, 2])
-            once = lossy(state, 0.42, 0)
+            once = lossy(state, 0.42)
             assert np.max(np.abs(dense(twice) - dense(once))) < 1e-10
 
     def test_density_input_kraus_path(self, rng):
         state = random_fock(rng, 6)
-        pure_route = lossy(state, 0.42, 0)
+        pure_route = lossy(state, 0.42)
         kraus_route = kraus_loss(state, 0.42, 0)
         assert np.max(np.abs(dense(pure_route) - kraus_route)) < 1e-12
 
     def test_trace_preserved(self, rng):
         state = random_multimode(rng, (5, 3))
-        rho = lossy(state, 0.35, 0)
+        rho = lossy(state, 0.35)
         assert abs(rho.trace - norm_sq(state)) < 1e-12
 
-    def test_any_mode_matches_kraus_route(self, rng):
+    def test_first_mode_matches_kraus_route(self, rng):
         for _ in range(200):
             n_modes = int(rng.integers(1, 4))
             cutoffs = tuple(int(c) for c in rng.integers(1, 5, size=n_modes))
             state = random_multimode(rng, cutoffs)
-            mode = int(rng.integers(0, n_modes))
             eps = float(rng.uniform(0.0, 1.0))
-            rho = lossy(state, eps, mode)
+            rho = lossy(state, eps)
             assert rho.basis_cutoffs == cutoffs
-            assert np.max(np.abs(dense(rho) - kraus_loss(state, eps, mode))) < 1e-12
+            assert np.max(np.abs(dense(rho) - kraus_loss(state, eps, 0))) < 1e-12
