@@ -42,7 +42,6 @@ from .applications import (
     distill_numeric,
     distill_params,
     postselected_prior_variance,
-    sample_postselected_variance,
 )
 
 __all__ = [
@@ -78,5 +77,4 @@ __all__ = [
     "distill_numeric",
     "distill_params",
     "postselected_prior_variance",
-    "sample_postselected_variance",
 ]

@@ -5,6 +5,7 @@ purity figure of merit used to score the distilled states."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,10 +136,16 @@ def _sector_purity(sectors: np.ndarray) -> PurityReport:
     only at k = 0, and mode B on the antidiagonal a + k = c - 1. When G
     holds only its first columns a < kept, mode A's top level lies inside
     them only if kept = c, and the antidiagonal lies in the last kept rows.
+    A success probability below the float64 normal range raises
+    ``ValueError``: dividing by it would lose digits or divide by zero.
     """
     cutoff, kept = sectors.shape
     probs = sectors * sectors
     success = float(probs.sum())
+    if success < sys.float_info.min:
+        raise ValueError(
+            f"success probability {success:.3g} lies below the float64 normal range"
+        )
     level = np.arange(cutoff)
     n_a = float(level[:kept] @ probs.sum(axis=0)) / success
     n_b = n_a + float(level @ probs.sum(axis=1)) / success
@@ -305,48 +312,3 @@ def postselected_prior_variance(prior_variance: float, gain: float) -> float:
         )
     return prior_variance / (1.0 - excess)
 
-
-#: Fewest accepted draws the Monte-Carlo check reports on. Its k accepted
-#: |alpha|**2 are exponential with mean d', so their sum is d'/2 times a
-#: chi-squared(2k) variable, mapped to z by the Wilson-Hilferty cube root.
-#: About 0.35% of draws are accepted: a budget of 1,000 keeps two to five.
-MIN_ACCEPTED_SAMPLES = 30
-
-
-def sample_postselected_variance(
-    prior_variance: float,
-    gain: float,
-    n_samples: int = 1_000_000,
-    seed: int = 0,
-) -> dict:
-    """Monte-Carlo check of the postselected-prior variance map.
-
-    Draws complex amplitudes from the prior, accepts by rejection against
-    the maximum of the success weight exp((g**2 - 1) |alpha|**2) on a disk
-    and returns the empirical mean of |alpha|**2 with its standard error.
-    The disk, of squared radius 14 * max(d', d), is sized so the clipped
-    tail bias is negligible against the statistical error.
-    """
-    expected = postselected_prior_variance(prior_variance, gain)
-    radius_sq = 14.0 * max(expected, prior_variance)
-    rng = np.random.default_rng(seed)
-    scale = math.sqrt(prior_variance / 2.0)
-    re = rng.normal(0.0, scale, n_samples)
-    im = rng.normal(0.0, scale, n_samples)
-    mag_sq = re**2 + im**2
-    log_weight = (gain**2 - 1.0) * (mag_sq - radius_sq)
-    accept = (mag_sq <= radius_sq) & (rng.random(n_samples) < np.exp(log_weight))
-    kept = mag_sq[accept]
-    if kept.size < MIN_ACCEPTED_SAMPLES:
-        raise ValueError(
-            f"only {kept.size} of {n_samples} draws accepted, fewer than "
-            f"{MIN_ACCEPTED_SAMPLES}; raise the sample budget (--samples)"
-        )
-    estimate = float(kept.mean())
-    stderr = float(kept.std(ddof=1) / math.sqrt(kept.size))
-    return {
-        "expected": expected,
-        "estimate": estimate,
-        "stderr": stderr,
-        "n_accepted": int(kept.size),
-    }

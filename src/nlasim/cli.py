@@ -11,17 +11,19 @@ flags to a params dict that is exactly the keyword arguments of its
 table builder, and records that dict as the header's config; fig3 and
 fig4 add their sweeps, recorded as ``sweep_NAME`` and passed as
 ``NAMEs``. The config therefore reproduces the table. Only verify draws
-random numbers, so only verify takes ``--seed``. The builder returns a
-``TableResult`` whose columns are the keys of its rows.
+random numbers, the oracle sweep's inputs, so only verify takes
+``--seed``. Its postselected-prior check draws none: a Gaussian prior of
+variance d is a thermal state of mean d, which the ideal map takes to the
+postselected prior scaled by g. The builder returns a ``TableResult``
+whose columns are the keys of its rows.
 
 The parser owns only flag-level rules: exclusive flags, finite numbers
-(``nan`` and ``inf`` are rejected) and positive counts for ``--arms``,
-``--cutoff`` and ``--samples``. Every other range is checked by the
-library. ``--sweep NAME=A:B:N`` is taken only by fig3
-(names gain, alpha) and fig4 (name gain), each name at most once.
-distill and clone reject ``--arms`` together with ``--asymptotic``, since
-an ideal run has no arm count; amplify takes both, because there
-``--arms`` sizes the cutoff.
+(``nan`` and ``inf`` are rejected) and positive counts for ``--arms`` and
+``--cutoff``. Every other range is checked by the library.
+``--sweep NAME=A:B:N`` is taken only by fig3 (names gain, alpha) and
+fig4 (name gain), each name at most once. distill and clone reject
+``--arms`` together with ``--asymptotic``, since an ideal run has no arm
+count; amplify takes both, because there ``--arms`` sizes the cutoff.
 
 Exit codes: 0 success, 1 configuration or output error, 2 invariant
 failure, 3 nonconvergent-regime request. A configuration error is any
@@ -211,7 +213,7 @@ def _clone(args):
 
 
 def _verify(args):
-    params = {"arms": args.arms, "samples": args.samples, "seed": args.seed}
+    params = {"arms": args.arms, "seed": args.seed}
     return params, verify_table(**params)
 
 
@@ -294,7 +296,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument(
         "--arms", type=_positive_int, default=None, help="extra arm count to try"
     )
-    p.add_argument("--samples", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
 
     return parser, sub.choices

@@ -12,6 +12,7 @@ from nlasim import (
     TruncationError,
     epr_state,
     loss_channel,
+    postselected_prior_variance,
 )
 from nlasim.fock import _factor
 
@@ -301,3 +302,40 @@ def purity_product(state) -> PurityReport:
     v_minus = v_x[sign]
     v_plus = variance(sign, p_a, p_b, p_a2, p_b2, p_ab)
     return PurityReport(v_minus, v_plus, v_minus * v_plus, success)
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo reference for the postselected prior; the library checks the
+# same map through the ideal map on a thermal input, with no random draws
+
+
+def sample_postselected_variance(
+    prior_variance: float,
+    gain: float,
+    n_samples: int = 1_000_000,
+    seed: int = 0,
+) -> dict:
+    """Monte-Carlo check of the postselected-prior variance map.
+
+    Draws complex amplitudes from the prior, accepts by rejection against
+    the maximum of the success weight exp((g**2 - 1) |alpha|**2) on a disk
+    and returns the empirical mean of |alpha|**2 with its standard error.
+    The disk, of squared radius 14 * max(d', d), is sized so the clipped
+    tail bias is negligible against the statistical error.
+    """
+    expected = postselected_prior_variance(prior_variance, gain)
+    radius_sq = 14.0 * max(expected, prior_variance)
+    rng = np.random.default_rng(seed)
+    scale = math.sqrt(prior_variance / 2.0)
+    re = rng.normal(0.0, scale, n_samples)
+    im = rng.normal(0.0, scale, n_samples)
+    mag_sq = re**2 + im**2
+    log_weight = (gain**2 - 1.0) * (mag_sq - radius_sq)
+    accept = (mag_sq <= radius_sq) & (rng.random(n_samples) < np.exp(log_weight))
+    kept = mag_sq[accept]
+    return {
+        "expected": expected,
+        "estimate": float(kept.mean()),
+        "stderr": float(kept.std(ddof=1) / math.sqrt(kept.size)),
+        "n_accepted": int(kept.size),
+    }

@@ -26,11 +26,11 @@ from nlasim import (
     number_state,
     physical_circuit,
     postselected_prior_variance,
-    sample_postselected_variance,
 )
 from nlasim.cli import main
 from nlasim.experiments import fig3_table
 from nlasim.verification import ORACLE_PROB_TOL, oracle_equivalence_report
+from conftest import sample_postselected_variance
 
 
 def report(criterion: int, passed: bool, detail: str) -> str:

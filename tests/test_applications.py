@@ -4,8 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
-from scipy.stats import chi2
 
 import nlasim.applications
 import nlasim.nla
@@ -27,12 +25,10 @@ from nlasim import (
     nla_operator,
     norm_sq,
     postselected_prior_variance,
-    sample_postselected_variance,
     tensor,
     vacuum,
 )
 from nlasim.experiments import distill_table, fig4_table
-from nlasim.verification import _chi_squared_z
 from conftest import (
     dense,
     dense_purity_product,
@@ -40,6 +36,7 @@ from conftest import (
     mixed_fidelity,
     partial_trace,
     purity_product,
+    sample_postselected_variance,
 )
 
 
@@ -98,16 +95,6 @@ class TestPriorVariance:
         )
         z = abs(report["estimate"] - report["expected"]) / report["stderr"]
         assert z < 3.0
-
-    @pytest.mark.parametrize("dof", [60, 132, 1000])
-    def test_chi_squared_z_tail_is_nominal(self, dof):
-        # the chance that verify's |z| <= 3 fails on a correct program,
-        # against the exact chi-squared law; the normal value is 0.270%
-        def cut(bound):
-            return brentq(lambda x: _chi_squared_z(x, dof) - bound, 1e-9, 10.0 * dof)
-
-        tail = chi2.cdf(cut(-3.0), dof) + chi2.sf(cut(3.0), dof)
-        assert 0.0026 <= tail <= 0.0028
 
 
 class TestDistillParams:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import nlasim.cli
 import nlasim.experiments
 import nlasim.nla
+import nlasim.verification
 from nlasim import ConfigError
 from nlasim.cli import main
 from nlasim.experiments import (
@@ -55,7 +56,7 @@ class TestOutputs:
 
     def test_header_records_config_and_seed(self, tmp_path):
         out = tmp_path / "t.csv"
-        argv = ["verify", "--samples", "20000", "--seed", "9", "--out", str(out)]
+        argv = ["verify", "--seed", "9", "--out", str(out)]
         assert main(argv) == 0
         header, rows = read_csv(out)
         joined = "".join(header)
@@ -189,16 +190,36 @@ class TestExitCodes:
         assert "nonconvergent" in err
 
     def test_verify_passes(self, capsys):
-        code, out, _ = run_cli(["verify", "--samples", "30000"], capsys)
+        code, out, _ = run_cli(["verify"], capsys)
         assert code == 0
         assert "oracle_equivalence,pass" in out
 
-    def test_verify_passes_where_a_normal_z_failed_by_chance(self, capsys):
-        # 66 accepted draws land 5.2 sample standard errors out; the exact
-        # chi-squared law of their sum puts them inside 3 sigma
-        code, out, _ = run_cli(["verify", "--samples", "20000", "--seed", "219"], capsys)
-        assert code == 0
-        assert "postselected_prior_mc,pass" in out
+    def test_verify_prior_row_draws_no_random_numbers(self, capsys):
+        # the seed feeds only the oracle sweep; seed 219 once put a
+        # Monte-Carlo prior check 5.2 standard errors out
+        lines = set()
+        for seed in (0, 219, 2**31):
+            code, out, _ = run_cli(["verify", "--seed", str(seed)], capsys)
+            assert code == 0
+            rows = out.splitlines()
+            lines.update(l for l in rows if l.startswith("postselected_prior,"))
+        assert len(lines) == 1
+        assert lines.pop().startswith("postselected_prior,pass,0,")
+
+    def test_verify_detects_corrupted_prior_variance(self, capsys, monkeypatch):
+        # a relative fault of 1e-9 in d' = d / (1 - (g**2 - 1) d); a
+        # Monte-Carlo check with a 1.7% standard error could not see it
+        true_variance = nlasim.verification.postselected_prior_variance
+
+        def corrupted(prior_variance, gain):
+            return true_variance(prior_variance, gain) * (1.0 + 1e-9)
+
+        monkeypatch.setattr(
+            nlasim.verification, "postselected_prior_variance", corrupted
+        )
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 2
+        assert "postselected_prior,fail" in out
 
     def test_verify_detects_corrupted_operator(self, capsys, monkeypatch):
         # classic bookkeeping fault: per-pattern prefactor instead of the
@@ -209,7 +230,7 @@ class TestExitCodes:
             return true_operator(arm_count, eta, cutoff) * 2.0 ** (-arm_count / 2.0)
 
         monkeypatch.setattr(nlasim.nla, "nla_operator", corrupted)
-        code, out, _ = run_cli(["verify", "--samples", "30000"], capsys)
+        code, out, _ = run_cli(["verify"], capsys)
         assert code == 2
         assert "oracle_equivalence,fail" in out
 
@@ -224,18 +245,14 @@ class TestExitCodes:
             return coeffs
 
         monkeypatch.setattr(nlasim.nla, "nla_operator", corrupted)
-        code, out, _ = run_cli(
-            ["verify", "--samples", "20000", "--arms", "5"], capsys
-        )
+        code, out, _ = run_cli(["verify", "--arms", "5"], capsys)
         assert code == 2
         assert "oracle_equivalence,fail" in out
 
     def test_verify_skips_beyond_oracle_limit(self, capsys):
         # the whole verify layout: the skipped arm count comes second, and
-        # the Monte-Carlo and guard rows are exact at this budget and seed
-        code, out, _ = run_cli(
-            ["verify", "--samples", "20000", "--arms", "7"], capsys
-        )
+        # the prior and guard rows, which draw nothing, are exact
+        code, out, _ = run_cli(["verify", "--arms", "7"], capsys)
         assert code == 0
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         assert lines[0] == "check,status,max_deviation,detail"
@@ -245,7 +262,7 @@ class TestExitCodes:
             "oracle_equivalence_arms_7",
             "chi_prime_lossless",
             "effective_params_grid",
-            "postselected_prior_mc",
+            "postselected_prior",
             "nonconvergence_guards",
         ]
         assert [row[1] for row in rows] == [
@@ -253,26 +270,13 @@ class TestExitCodes:
         ]
         assert lines[2] == "oracle_equivalence_arms_7,skipped,nan,beyond oracle limit 5"
         assert lines[5] == (
-            "postselected_prior_mc,pass,2.90196099238,estimate 0.588816 vs "
-            "expected 0.428571 (73 accepted; chi-squared z = 2.9)"
+            "postselected_prior,pass,0,thermal input of mean 0.3 through the "
+            "ideal map: <n> / g**2 = 0.428571428571 vs d' = 0.428571428571"
         )
         assert lines[6] == (
             "nonconvergence_guards,pass,0,guards fire exactly at the "
             "unnormalizable boundaries"
         )
-
-    def test_oversized_sample_budget_refused_before_allocating(self):
-        # 50 bytes per draw: 5,368,710 draws pass the 256 MiB limit, and
-        # 10**12 would be 45 TiB; nothing runs before the refusal
-        for samples in (5_368_710, 10**9, 10**12):
-            tracemalloc.start()
-            try:
-                with pytest.raises(ValueError, match="Monte-Carlo draws"):
-                    verify_table(samples=samples)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 2**20
 
 
 # One argv per subcommand. Its recorded config, less the keys that only
@@ -290,7 +294,7 @@ CONTRACT = {
         "distill --chi 0.2 --loss 0.5 --asymptotic --gain 1.5 --target-r 0.3",
     ),
     "clone": (clone_table, "clone --alpha 0.5,0.2 --asymptotic"),
-    "verify": (verify_table, "verify --samples 20000 --arms 7 --seed 3"),
+    "verify": (verify_table, "verify --arms 7 --seed 3"),
 }
 
 
@@ -452,6 +456,11 @@ BAD_INPUTS = [
     "distill --chi 0.3 --asymptotic --gain 1e-200",  # 1 by traceback: ZeroDivisionError
     "amplify --alpha 27 --eta 0.5 --arms 2",  # 0: 886 rows missing 1e-8 of tail mass
     "amplify --alpha 20 --gamma 0.01 --cutoff 10",  # 1 by traceback: ZeroDivisionError
+    # a success probability below the float64 normal range
+    "distill --chi 0.3 --loss 0 --arms 3 --eta 1e-120",  # 1 by traceback: ZeroDivisionError
+    "distill --chi 0.3 --loss 1e-300 --eta 1e-300 --arms 2",  # 1 by traceback: ZeroDivisionError
+    "distill --chi 0.3 --loss 0 --arms 3 --eta 1e-104",  # 0: v_minus off in the 12th digit
+    "distill --chi 0.3 --loss 0 --arms 3 --eta 1e-107",  # 0: v_minus off in the 3rd digit
     *OVERSIZED,
 ]
 
@@ -479,6 +488,20 @@ def test_oversized_run_refused_before_allocating(argv, capsys):
     assert code == 1
     assert "above the 256 MiB limit" in err
     assert peak < 2**20
+
+
+def test_smallest_normal_success_probability_keeps_every_bit(capsys):
+    # at full loss the normalized state does not depend on eta, so a run at
+    # P = 1e-300 reads the same variances as one at P = 1e-150
+    def row(eta):
+        argv = f"distill --chi 0.3 --loss 0 --arms 3 --eta {eta} --format json"
+        code, out, _ = run_cli(argv.split(), capsys)
+        assert code == 0
+        return json.loads(out)["rows"][0]
+
+    tiny, base = row("1e-100"), row("1e-50")
+    assert 1e-301 < tiny["success_prob"] < 1e-299
+    assert (tiny["v_minus"], tiny["v_plus"]) == (base["v_minus"], base["v_plus"])
 
 
 def test_clone_past_the_float_binomial_range_runs(capsys):

@@ -1,8 +1,8 @@
 """Import hygiene of the package sources: no module imports a name it never
 uses or a package beyond the standard library and numpy, the package exports
 exactly what its ``__init__`` imports, no private helper or module constant
-is left with no reader, only ``fock`` sizes a run and no module calls
-``numpy.linalg``."""
+is left with no reader, only ``fock`` sizes a run, no module calls
+``numpy.linalg`` and only the oracle sweep makes a random generator."""
 
 import ast
 import sys
@@ -173,3 +173,15 @@ def test_no_dense_linear_algebra(path):
             if any("linalg" in m.split(".") for m in modules):
                 calls.append(f"line {node.lineno}: import")
     assert not calls, f"{path.name} uses numpy.linalg: {calls}"
+
+
+def test_only_the_oracle_sweep_draws_random_numbers():
+    # the CLI runs verify alone on a seed; every other number the library
+    # prints is a function of its flags
+    sites = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _name(node.func) == "default_rng":
+                    sites.append((path.name, getattr(top, "name", None)))
+    assert sites == [("verification.py", "oracle_equivalence_report")]
