@@ -26,8 +26,10 @@ pattern; the input's amplitudes multiply them only afterwards.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,21 +151,63 @@ def nla_apply_asymptotic(state, gain: float) -> MultiModeState:
 # circuit oracle: permanents of the mode matrix
 
 
+class _ArmTables(NamedTuple):
+    """The parts of the circuit and of the Ryser pass that depend on the
+    arm count alone, all read-only."""
+
+    splitter: np.ndarray  # the forward splitter, embedded in eye(3N)
+    inverse_row: np.ndarray  # first row of the inverse splitter
+    signs: np.ndarray  # (2**N, N) pattern signs in product order
+    subsets: np.ndarray  # (2**N, N) the same bits as float Ryser subsets
+    parity: np.ndarray  # (-1)**N (-1)**|S| per subset S
+    clicked: np.ndarray  # (N, 2**N) clicked row per arm and pattern
+
+
+@functools.lru_cache(maxsize=ORACLE_ARM_LIMIT)
+def _arm_tables(arm_count: int) -> _ArmTables:
+    """The circuit's and the Ryser pass's tables for one arm count, built
+    once and shared by every call at that count."""
+    n = arm_count
+    splitter = np.eye(3 * n)
+    for k in range(1, n):
+        _mix_rows(splitter, 1.0 / (n - k + 1), k, k - 1)
+    inverse = np.eye(n)
+    for k in range(n - 1, 0, -1):
+        _mix_rows(inverse, 1.0 / (n - k + 1), k - 1, k)
+    arms = np.arange(n)
+    bits = (np.arange(2**n)[:, None] >> arms) & 1
+    # read from the most significant end, the bits give the signs in
+    # itertools.product order
+    signs = 1.0 - 2.0 * bits[:, ::-1]
+    tables = _ArmTables(
+        splitter=splitter,
+        inverse_row=inverse[0].copy(),
+        signs=signs,
+        subsets=bits.astype(np.float64),
+        parity=(-1) ** n * (1 - 2 * (bits.sum(axis=1) % 2)),
+        clicked=np.where(signs.T > 0, arms[:, None], 2 * n + arms[:, None]),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _circuit_matrix(arm_count: int, eta: float) -> np.ndarray:
-    """3N x 3N mode matrix of the circuit up to detection.
+    """3N x 3N mode matrix of the circuit up to detection, a fresh array.
 
     Modes are ordered as the arms 0..N-1, the kept outputs N..2N-1 and the
     ancillas 2N..3N-1. The forward splitter divides arm 0 over every arm;
     then each ancilla photon splits over (kept, ancilla) with
-    transmissivity eta and the ancilla mixes 50:50 with its arm.
+    transmissivity eta and the ancilla mixes 50:50 with its arm. The
+    forward splitter is built once per arm count (``_arm_tables``). The
+    stages touch disjoint row pairs, so all N of them run as one mix per
+    beamsplitter, with every entry computed as one stage at a time would.
     """
     n = arm_count
-    u = np.eye(3 * n)
-    for k in range(1, n):
-        _mix_rows(u, 1.0 / (n - k + 1), k, k - 1)
-    for arm in range(n):
-        _mix_rows(u, eta, n + arm, 2 * n + arm)
-        _mix_rows(u, 0.5, arm, 2 * n + arm)
+    u = _arm_tables(n).splitter.copy()
+    arms = np.arange(n)
+    _mix_rows(u, eta, n + arms, 2 * n + arms)
+    _mix_rows(u, 0.5, arms, 2 * n + arms)
     return u
 
 
@@ -197,23 +241,20 @@ def _pattern_coefficients(arm_count: int, eta: float, top: int) -> np.ndarray:
         c_n = (-1)**N sum_S (-1)**|S| o_0(S)**n b_n(S),
 
     and the b_m(S) follow from one product per clicked row, with no
-    alternating binomial sum to lose digits.
+    alternating binomial sum to lose digits. Only the circuit matrix and
+    what follows from it depend on eta: w, the sign and subset tables,
+    the parities and the clicked-row indices are built once per arm
+    count (``_arm_tables``).
     """
     n = arm_count
+    tables = _arm_tables(n)
     detected = _circuit_matrix(n, eta)
-    inverse = np.eye(n)
-    for k in range(n - 1, 0, -1):
-        _mix_rows(inverse, 1.0 / (n - k + 1), k - 1, k)
-    arms = np.arange(n)
-    bits = (np.arange(2**n)[:, None] >> arms) & 1
-    # read from the most significant end, the bits give the signs in
-    # itertools.product order
-    signs = 1.0 - 2.0 * bits[:, ::-1]
-    subsets = bits.astype(np.float64)
+    subsets = tables.subsets
     # o_0(S) per pattern, and per arm and pattern the clicked row, whose
     # arm-0 entry is the slope of its Ryser sum in k
-    o_sums = (signs * inverse[0]) @ detected[n : 2 * n, 2 * n :] @ subsets.T
-    clicked = detected[np.where(signs.T > 0, arms[:, None], 2 * n + arms[:, None])]
+    weighted = tables.signs * tables.inverse_row
+    o_sums = weighted @ detected[n : 2 * n, 2 * n :] @ subsets.T
+    clicked = detected[tables.clicked]
     # b_m(S) for m <= top; an order never feeds a lower one
     falling = np.zeros((top + 1,) + o_sums.shape)
     falling[0] = 1.0
@@ -225,7 +266,7 @@ def _pattern_coefficients(arm_count: int, eta: float, top: int) -> np.ndarray:
         falling *= row[:, 2 * n :] @ subsets.T + orders * slope
         falling[1:] += carry
     # (-1)**N (-1)**|S| o_0(S)**photons
-    power = (-1) ** n * (1 - 2 * (bits.sum(axis=1) % 2))
+    power = tables.parity
     coeffs = np.empty((top + 1, 2**n))
     for photons in range(top + 1):
         coeffs[photons] = (power * falling[photons]).sum(axis=-1)

@@ -33,7 +33,9 @@ from .fock import MultiModeState, _pure
 MAX_LOSS_CUTOFF = 2054
 
 
-def _mix_rows(matrix: np.ndarray, t: float, a: int, b: int) -> None:
+def _mix_rows(
+    matrix: np.ndarray, t: float, a: int | np.ndarray, b: int | np.ndarray
+) -> None:
     """Apply a beamsplitter of transmissivity ``t`` on the ordered pair
     (a, b) to a linear-optical mode matrix, in place.
 
@@ -41,6 +43,10 @@ def _mix_rows(matrix: np.ndarray, t: float, a: int, b: int) -> None:
     the beamsplitter mixes the rows of its pair: row a becomes
     sqrt(t) row_a + sqrt(1 - t) row_b and row b becomes
     sqrt(t) row_b - sqrt(1 - t) row_a.
+
+    ``a`` and ``b`` may also be equal-length index arrays whose pairs
+    (a[i], b[i]) are disjoint: every pair then mixes at once, each entry
+    computed as a mix of that pair alone would compute it.
     """
     c, s = math.sqrt(t), math.sqrt(1.0 - t)
     row_a, row_b = matrix[a].copy(), matrix[b].copy()

@@ -125,8 +125,10 @@ def verify_table(*, arms: int | None = None, seed: int = 0) -> TableResult:
     thermal state of mean d, arm A of ``epr_state(sqrt(d / (1 + d)))``, and
     the ideal map takes it to the postselected prior scaled by g, of mean
     photon number g**2 d'. Only the oracle sweep draws random inputs, from
-    ``seed``.
+    ``seed``, which must be a non-negative integer.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rows = []
 
     def check(name: str, passed: bool, deviation: float, detail: str):

@@ -2,7 +2,8 @@
 uses or a package beyond the standard library and numpy, the package exports
 exactly what its ``__init__`` imports, no private helper or module constant
 is left with no reader, only ``fock`` sizes a run, no module calls
-``numpy.linalg`` and only the oracle sweep makes a random generator."""
+``numpy.linalg``, only the oracle sweep makes a random generator and
+every cache is bounded."""
 
 import ast
 import sys
@@ -185,3 +186,55 @@ def test_only_the_oracle_sweep_draws_random_numbers():
                 if isinstance(node, ast.Call) and _name(node.func) == "default_rng":
                     sites.append((path.name, getattr(top, "name", None)))
     assert sites == [("verification.py", "oracle_equivalence_report")]
+
+
+def _unbounded_caches(tree) -> list:
+    """Lines of every functools.cache and of every lru_cache without an
+    integer maxsize, given literally or as a module constant."""
+    constants = {
+        target.id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) == "lru_cache":
+            sizes = [k.value for k in node.keywords if k.arg == "maxsize"]
+            sizes += node.args[:1]
+            size = sizes[0] if sizes else None
+            if isinstance(size, ast.Name):
+                size = constants.get(size.id)
+            if not (isinstance(size, ast.Constant) and type(size.value) is int):
+                lines.append(node.lineno)
+        elif _name(node) == "cache" or (
+            _name(node) == "lru_cache" and id(node) not in called
+        ):
+            # functools.cache, or lru_cache as a bare decorator
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    # an unbounded cache grows for the life of the process
+    lines = _unbounded_caches(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} has an unbounded cache at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "source, unbounded",
+    [
+        ("@functools.lru_cache(maxsize=64)\ndef f(n): pass", []),
+        ("LIMIT = 5\n@lru_cache(LIMIT)\ndef f(n): pass", []),
+        ("@functools.cache\ndef f(n): pass", [1]),
+        ("@functools.lru_cache\ndef f(n): pass", [1]),
+        ("@functools.lru_cache(maxsize=None)\ndef f(n): pass", [1]),
+        ("@functools.lru_cache(typed=True)\ndef f(n): pass", [1]),
+        ("f = functools.cache(g)", [1]),
+    ],
+)
+def test_unbounded_cache_check_sees_every_form(source, unbounded):
+    assert _unbounded_caches(ast.parse(source)) == unbounded

@@ -21,7 +21,12 @@ from nlasim import (
     tensor,
     vacuum,
 )
-from nlasim.nla import ORACLE_ARM_LIMIT, _circuit_matrix, _pattern_coefficients
+from nlasim.nla import (
+    ORACLE_ARM_LIMIT,
+    _arm_tables,
+    _circuit_matrix,
+    _pattern_coefficients,
+)
 from nlasim.optics import _mix_rows
 from nlasim.verification import (
     ORACLE_FIDELITY_TOL,
@@ -147,18 +152,27 @@ def reference_coefficients(arm_count: int, eta: float, signs, top: int) -> np.nd
     return coeffs
 
 
-def lopsided_circuit(arm_count: int, eta: float) -> np.ndarray:
-    """``_circuit_matrix`` with arm 0's ancilla mixing 40:60 with its arm
-    instead of 50:50: the click patterns then herald different
-    coefficients, so each column shows which pattern it belongs to."""
+def sequential_circuit(
+    arm_count: int, eta: float, first_mix: float = 0.5
+) -> np.ndarray:
+    """``_circuit_matrix`` built one beamsplitter at a time, from eye(3N):
+    the forward splitter, then each arm's stage in turn, arm 0's ancilla
+    mixing with its arm at transmissivity ``first_mix``."""
     n = arm_count
     u = np.eye(3 * n)
     for k in range(1, n):
         _mix_rows(u, 1.0 / (n - k + 1), k, k - 1)
     for arm in range(n):
         _mix_rows(u, eta, n + arm, 2 * n + arm)
-        _mix_rows(u, 0.4 if arm == 0 else 0.5, arm, 2 * n + arm)
+        _mix_rows(u, first_mix if arm == 0 else 0.5, arm, 2 * n + arm)
     return u
+
+
+def lopsided_circuit(arm_count: int, eta: float) -> np.ndarray:
+    """``_circuit_matrix`` with arm 0's ancilla mixing 40:60 with its arm
+    instead of 50:50: the click patterns then herald different
+    coefficients, so each column shows which pattern it belongs to."""
+    return sequential_circuit(arm_count, eta, first_mix=0.4)
 
 
 def pattern_outputs(state: MultiModeState, arm_count: int, eta: float) -> dict:
@@ -276,8 +290,10 @@ class TestPatternBookkeeping:
 
     @pytest.mark.parametrize("arms", range(1, ORACLE_ARM_LIMIT + 1))
     def test_no_work_per_pattern(self, monkeypatch, arms):
-        # 3N - 1 row mixes build the circuit and N - 1 the inverse splitter's
-        # first row, whatever the number of click patterns
+        # a cold call builds the forward splitter (N - 1 mixes) and the
+        # inverse splitter's first row (N - 1) once per arm count; every
+        # call then runs all N stages as one eta mix and one 50:50 mix,
+        # whatever the number of click patterns
         calls = []
 
         def counting(*args):
@@ -285,8 +301,33 @@ class TestPatternBookkeeping:
             return _mix_rows(*args)
 
         monkeypatch.setattr(nlasim.nla, "_mix_rows", counting)
+        _arm_tables.cache_clear()
         physical_circuit(number_state(1, arms + 1), arms, 0.3)
-        assert len(calls) <= 4 * arms - 2
+        assert len(calls) <= 2 * arms
+        calls.clear()
+        physical_circuit(number_state(1, arms + 1), arms, 0.7)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("arms", range(1, ORACLE_ARM_LIMIT + 1))
+    def test_one_call_stages_match_the_sequential_circuit(self, arms):
+        # the stages touch disjoint row pairs, so mixing them all at once
+        # computes every entry as one stage at a time does, to the bit
+        for eta in np.linspace(0.05, 0.95, 20):
+            got = _circuit_matrix(arms, float(eta))
+            assert np.array_equal(got, sequential_circuit(arms, float(eta)))
+
+    @pytest.mark.parametrize("arms", range(1, ORACLE_ARM_LIMIT + 1))
+    def test_cached_tables_are_read_only(self, arms):
+        # every call shares the cached tables, so none may be written; the
+        # circuit matrix is the caller's own, and reference_coefficients
+        # writes into it
+        for table in _arm_tables(arms):
+            assert not table.flags.writeable
+        first = _circuit_matrix(arms, 0.3)
+        assert first.flags.writeable
+        first[:] = np.nan
+        again = _circuit_matrix(arms, 0.3)
+        assert np.array_equal(again, sequential_circuit(arms, 0.3))
 
     @pytest.mark.parametrize("arms", range(1, ORACLE_ARM_LIMIT + 1))
     def test_runs_without_fock_beamsplitters(self, monkeypatch, rng, arms):
