@@ -163,12 +163,14 @@ def _sector_purity(sectors: np.ndarray) -> PurityReport:
 
 
 #: Largest loss purification a run may allocate, in bytes. A distillation
-#: point no longer builds the purification, but it returns a factor of the
-#: same 16 * cutoff**3 bytes. Everything else it builds is (c, N + 1) or,
-#: on the ideal map, (c, c), so at cutoff 160 the run peaks at 1.0002
-#: times the factor at 2 arms and 1.009 times on the ideal map. This limit
-#: admits distillation cutoffs up to 161 and is checked before any state
-#: is built.
+#: point no longer builds the purification, and computes its numbers from
+#: (c, N + 1) sector columns, or (c, c) on the ideal map. Only its
+#: c**2 x c factor, which ``distill_numeric`` returns, takes the same
+#: 16 * cutoff**3 bytes: a ``distill`` op builds it only for ``target_r``,
+#: while ``fig4`` still builds one a point and discards it. At cutoff 160
+#: a run that builds the factor peaks at 1.0002 times it at 2 arms and
+#: 1.009 times on the ideal map. This limit admits distillation cutoffs up
+#: to 161 and is checked before any state is built, factor or not.
 MAX_PURIFICATION_BYTES = 64 * 2**20
 
 
@@ -185,7 +187,23 @@ def _distill_gain(arm_count, eta, gain) -> tuple[float | None, float]:
     return eta, gain
 
 
-def distill_numeric(
+@dataclass(frozen=True)
+class _DistillPoint:
+    """One distillation point: the read-only sector columns G[k, a] of the
+    distilled state, its fidelity and ``PurityReport``, and the cutoff, eta,
+    gain and effective parameters the run used. ``_sector_density(sectors)``
+    is the state as a factor."""
+
+    sectors: np.ndarray
+    fidelity: float
+    purity: PurityReport
+    cutoff: int
+    eta: float | None
+    gain: float
+    params: EffectiveEprParams
+
+
+def _distill_point(
     chi: float,
     epsilon: float,
     arm_count: int | None = None,
@@ -193,17 +211,8 @@ def distill_numeric(
     cutoff: int | None = None,
     *,
     gain: float | None = None,
-) -> tuple[DensityOperator, float, PurityReport]:
-    """Full numeric distillation run.
-
-    Sends arm A (mode 0) of the two-mode squeezed state through the lossy
-    line, amplifies it, traces out the loss mode and returns the state, its
-    fidelity against the analytic target (the lossy state with the
-    effective parameters) and its quadrature ``PurityReport``. Exactly one of
-    ``eta`` and ``gain`` sets the amplifier. Finite runs need ``arm_count``
-    and return the unnormalized state whose trace is the success
-    probability; with ``arm_count=None`` the ideal map at that gain is used
-    instead, its output has trace 1 and no probability is defined.
+) -> _DistillPoint:
+    """``distill_numeric``'s run, without building the factor.
 
     The run works on the photon-difference sectors G[k, a] of
     ``_lossy_sectors``, from the loss kernel ``loss_channel`` uses too. The
@@ -243,7 +252,38 @@ def distill_numeric(
         fid = min(max(float(np.vdot(sectors, lossy[1])) ** 2 / norms, 0.0), 1.0)
     else:
         fid = math.nan
-    return _sector_density(sectors), fid, purity
+    sectors.setflags(write=False)
+    return _DistillPoint(sectors, fid, purity, cutoff, eta, gain, params)
+
+
+def distill_numeric(
+    chi: float,
+    epsilon: float,
+    arm_count: int | None = None,
+    eta: float | None = None,
+    cutoff: int | None = None,
+    *,
+    gain: float | None = None,
+) -> tuple[DensityOperator, float, PurityReport]:
+    """Full numeric distillation run.
+
+    Sends arm A (mode 0) of the two-mode squeezed state through the lossy
+    line, amplifies it, traces out the loss mode and returns the state, its
+    fidelity against the analytic target (the lossy state with the
+    effective parameters) and its quadrature ``PurityReport``. Exactly one of
+    ``eta`` and ``gain`` sets the amplifier. Finite runs need ``arm_count``
+    and return the unnormalized state whose trace is the success
+    probability; with ``arm_count=None`` the ideal map at that gain is used
+    instead, its output has trace 1 and no probability is defined.
+
+    The numbers come from the sector columns of ``_distill_point``; only
+    the returned state is their c**2 x c factor (``_sector_density``), and
+    it takes 16 * cutoff**3 bytes. So the ``distill`` table reads the point
+    and builds the factor only for ``target_r``; ``fig4`` still calls this
+    function and discards each point's factor.
+    """
+    point = _distill_point(chi, epsilon, arm_count, eta, cutoff, gain=gain)
+    return _sector_density(point.sectors), point.fidelity, point.purity
 
 
 def clone_coherent(

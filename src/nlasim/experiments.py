@@ -14,10 +14,11 @@ import numpy as np
 from .applications import (
     _boost,
     _distill_gain,
+    _distill_point,
+    _sector_density,
     clone_coherent,
     clone_fidelities,
     distill_numeric,
-    distill_params,
 )
 from .fock import (
     DensityOperator,
@@ -296,20 +297,24 @@ def distill_table(
 ) -> TableResult:
     """Single distillation run with effective parameters and purity.
 
-    ``eta`` and ``gain`` are exclusive: pass ``eta=None`` with a gain.
+    ``eta`` and ``gain`` are exclusive: pass ``eta=None`` with a gain. The
+    state's c**2 x c factor is built only for the ``target_r`` fidelity.
     """
+    if target_r is not None:
+        chi_t = math.tanh(target_r)
+        if not 0.0 <= chi_t < 1.0:
+            raise ValueError(f"tanh(target_r) = {chi_t} lies outside [0, 1)")
     arms_used = None if asymptotic else arms
-    rho, fid, report = distill_numeric(chi, loss, arms_used, eta, cutoff, gain=gain)
-    # the gain the run amplified with and built its target at
-    _, gain_used = _distill_gain(arms_used, eta, gain)
-    params = distill_params(chi, loss, gain_used)
+    point = _distill_point(chi, loss, arms_used, eta, cutoff, gain=gain)
+    params, report, fid = point.params, point.purity, point.fidelity
     prob = None if arms_used is None else report.success_prob
     row = {
         "chi": chi,
         "loss": loss,
         "arms": arms_used,
         "eta": eta,
-        "gain": gain_used,
+        # the gain the run amplified with and built its target at
+        "gain": point.gain,
         "chi_prime": params.chi_prime,
         "eps_prime": params.eps_prime,
         "physical": params.physical,
@@ -328,13 +333,9 @@ def distill_table(
         FIDELITY_NOTE,
     ]
     if target_r is not None:
-        chi_t = math.tanh(target_r)
-        if not 0.0 <= chi_t < 1.0:
-            raise ValueError(f"tanh(target_r) = {chi_t} lies outside [0, 1)")
         # the target's own amplitudes take cutoff**2 memory
-        held = rho.basis_cutoffs[0]
-        target_cutoff = _epr_cutoff((chi_t,), None, "lower target_r", held)
-        fid_t = fidelity(rho, epr_state(chi_t, target_cutoff))
+        target_cutoff = _epr_cutoff((chi_t,), None, "lower target_r", point.cutoff)
+        fid_t = fidelity(_sector_density(point.sectors), epr_state(chi_t, target_cutoff))
         row["target_r"] = target_r
         row["fidelity_vs_target_r"] = fid_t
         row["fidelity_vs_target_r_amplitude"] = math.sqrt(fid_t)

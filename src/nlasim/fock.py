@@ -268,9 +268,10 @@ def _epr_schmidt(chi: float, cutoff: int | None = None) -> np.ndarray:
 #: Largest automatic cutoff of distill, fig4, clone and the ``target_r``
 #: state. A finite-arm distillation point is computed from the
 #: cutoff * (N + 1) sector amplitudes an N-arm amplifier keeps (the ideal
-#: map from all cutoff**2 / 2) but returns a factor of cutoff**3 (65 MB at
-#: 160); the cap holds until a large-cutoff benchmark has measured what
-#: raising it costs.
+#: map from all cutoff**2 / 2). A distill op builds the point's factor of
+#: cutoff**3 (65 MB at 160) only for ``target_r``; fig4 still builds it
+#: for every point and discards it. The cap holds until a large-cutoff
+#: benchmark has measured what raising it costs.
 AUTO_CUTOFF_CAP = 40
 
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .applications import distill_numeric, distill_params, postselected_prior_variance
+from .applications import _distill_point, distill_params, postselected_prior_variance
 from .errors import NonconvergentError
 from .experiments import TableResult
 from .fock import MultiModeState, epr_state, fidelity, norm_sq
@@ -179,8 +179,8 @@ def verify_table(*, arms: int | None = None, seed: int = 0) -> TableResult:
     min_fid = 1.0
     for chi in np.linspace(0.05, 0.35, 5):
         for eps in np.linspace(0.2, 1.0, 5):
-            _, fid, _ = distill_numeric(float(chi), float(eps), gain=1.3)
-            min_fid = min(min_fid, fid)
+            point = _distill_point(float(chi), float(eps), gain=1.3)
+            min_fid = min(min_fid, point.fidelity)
     check(
         "effective_params_grid",
         min_fid >= 1.0 - 1e-9,

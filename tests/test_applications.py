@@ -244,6 +244,69 @@ class TestDistillNumeric:
         assert peak < 3 * 16 * cutoff**3
 
 
+class TestDistillPoint:
+    # distill_numeric is _sector_density over the point's columns, with the
+    # point's fidelity and report; the distill table reads the point alone
+
+    @staticmethod
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    def assert_same(self, out, point):
+        rho, fid, report = out
+        want = nlasim.applications._sector_density(point.sectors)
+        assert rho.basis_cutoffs == want.basis_cutoffs
+        assert rho.factor.tobytes() == want.factor.tobytes()
+        assert self.bits(fid) == self.bits(point.fidelity)
+        assert report == point.purity
+        for a, b in zip(vars(report).values(), vars(point.purity).values()):
+            assert self.bits(a) == self.bits(b)
+
+    @pytest.mark.filterwarnings("ignore::nlasim.TruncationWarning")
+    @pytest.mark.parametrize("arms", [1, 2, 3, 4, 5, None])
+    def test_numeric_route_is_the_point_bitwise(self, arms):
+        point_of = nlasim.applications._distill_point
+        for cutoff in range(1, 41):
+            # the second point has chi' = 1.2: no target, a nan fidelity
+            for chi, eps, eta in ((0.3, 0.5, 0.1), (0.6, 1.0, 0.2)):
+                if arms is None and eta == 0.2:
+                    continue
+                point = point_of(chi, eps, arms, eta, cutoff)
+                self.assert_same(distill_numeric(chi, eps, arms, eta, cutoff), point)
+                assert not point.sectors.flags.writeable
+                assert point.cutoff == cutoff
+                assert (point.eta, point.gain) == (eta, gain_from_eta(eta))
+                assert point.params == distill_params(chi, eps, point.gain)
+        assert math.isnan(point.fidelity) == (arms is not None)
+
+    def test_point_records_the_gain_it_ran_at(self):
+        point = nlasim.applications._distill_point(0.3, 0.5, 2, gain=1.5)
+        assert point.eta == eta_from_gain(1.5)
+        assert point.gain == gain_from_eta(point.eta)
+        assert point.sectors.shape == (point.cutoff, 3)
+        ideal = nlasim.applications._distill_point(0.3, 0.5, gain=1.5)
+        assert (ideal.eta, ideal.gain) == (None, 1.5)
+        assert ideal.sectors.shape == (ideal.cutoff, ideal.cutoff)
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            ((0.6, 1.0, None, None, 40), NonconvergentError),  # chi' = 1.2
+            ((0.3, 0.0, 3, 1e-120, None), ValueError),  # P below the normal range
+            ((0.3, 0.5, 2, None, 162), ValueError),  # the c**3 refusal
+        ],
+    )
+    def test_refusals_match(self, args, error):
+        chi, eps, arms, eta, cutoff = args
+        gain = 2.0 if eta is None else None
+        raised = []
+        for run in (distill_numeric, nlasim.applications._distill_point):
+            with pytest.raises(error) as caught:
+                run(chi, eps, arms, eta, cutoff, gain=gain)
+            raised.append(str(caught.value))
+        assert raised[0] == raised[1]
+
+
 # ---------------------------------------------------------------------------
 # the dense composition that distill_numeric replaced, kept as its
 # structurally different reference: the c**3 loss purification, the

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlasim.applications
 import nlasim.cli
 import nlasim.experiments
+import nlasim.fock
 import nlasim.nla
 import nlasim.verification
 from nlasim import ConfigError
@@ -471,6 +473,7 @@ BAD_INPUTS = [
     "distill --chi 0.3 --loss 0 --arms 3 --eta 1e-104",  # 0: v_minus off in the 12th digit
     "distill --chi 0.3 --loss 0 --arms 3 --eta 1e-107",  # 0: v_minus off in the 3rd digit
     "verify --seed -1",  # 1, naming no flag: "expected non-negative integer"
+    "distill --chi 0.3 --loss 0.5 --target-r -0.1",  # 1, naming the cutoff
     *OVERSIZED,
 ]
 
@@ -485,6 +488,45 @@ def test_bad_input_exits_1_with_one_line(argv, capsys, tmp_path):
     assert len(err.splitlines()) == 1
     assert err.startswith("nlasim: configuration error:")
     assert "Traceback" not in err
+
+
+def test_bad_target_r_is_named_before_the_point_runs(capsys):
+    # this point alone would need cutoff 263, past the automatic cap
+    argv = "distill --chi 0.3 --loss 0.5 --target-r -0.1".split()
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("nlasim: configuration error: tanh(target_r) = ")
+
+
+def test_distill_builds_the_factor_only_for_target_r(monkeypatch, capsys):
+    # the row reads the point's sector columns and the gain and effective
+    # parameters it ran at; only the target_r fidelity takes the factor
+    built = []
+    post_init = nlasim.fock.DensityOperator.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.basis_cutoffs)
+        post_init(self)
+
+    calls = {}
+    for name in ("_distill_gain", "distill_params"):
+        original = getattr(nlasim.applications, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        for module in (nlasim.applications, nlasim.experiments):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    density = nlasim.fock.DensityOperator
+    monkeypatch.setattr(density, "__post_init__", counting_post_init)
+    argv = "distill --chi 0.1 --loss 0.5 --cutoff 24".split()
+    for extra, factors in (([], []), (["--target-r", "0.3"], [(24, 24)])):
+        code, _, err = run_cli(argv + extra, capsys)
+        assert (code, err) == (0, "")
+        assert built == factors
+    assert calls == {"_distill_gain": 2, "distill_params": 2}
 
 
 @pytest.mark.parametrize("argv", OVERSIZED)
