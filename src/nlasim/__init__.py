@@ -19,10 +19,7 @@ from .fock import (
     minimal_coherent_cutoff,
     minimal_epr_cutoff,
     norm_sq,
-    normalize,
     number_state,
-    tensor,
-    vacuum,
 )
 from .optics import loss_channel
 from .nla import (
@@ -58,10 +55,7 @@ __all__ = [
     "minimal_coherent_cutoff",
     "minimal_epr_cutoff",
     "norm_sq",
-    "normalize",
     "number_state",
-    "tensor",
-    "vacuum",
     "loss_channel",
     "eta_from_gain",
     "gain_from_eta",

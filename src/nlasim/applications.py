@@ -15,8 +15,10 @@ from .fock import (
     DensityOperator,
     MultiModeState,
     _coherent_cutoff,
+    _count,
     _epr_cutoff,
     _epr_schmidt,
+    _real,
     _refuse_above,
     coherent_state,
     fidelity,
@@ -78,10 +80,8 @@ def distill_params(chi: float, epsilon: float, gain: float) -> EffectiveEprParam
     Unphysical requests (chi' >= 1) are flagged, not raised. The boost is
     ``_boost``, so a lossless line keeps eps' = 1 exactly.
     """
-    if not 0.0 <= chi < 1.0:
-        raise ValueError("chi must lie in [0, 1)")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("transmission must lie in [0, 1]")
+    _real(chi, "chi", 0.0, 1.0, "[)")
+    _real(epsilon, "transmission", 0.0, 1.0)
     gain_sq = _gain_squared(gain)
     boost = _boost(epsilon, gain_sq)
     chi_prime = chi * math.sqrt(boost)
@@ -179,7 +179,7 @@ def _distill_gain(arm_count, eta, gain) -> tuple[float | None, float]:
     of them. At finite arm count eta sets the amplifier, so a given gain
     is read back through eta and the target is built at that gain."""
     if (eta is None) == (gain is None):
-        raise ValueError("exactly one of eta / gain must be given")
+        raise ValueError("give exactly one of eta / gain")
     if eta is None and arm_count is not None:
         eta = eta_from_gain(gain)
     if eta is not None:
@@ -227,6 +227,8 @@ def _distill_point(
     is its Schmidt vector's. The purity report and the success probability
     are read off the columns in one pass (``_sector_purity``).
     """
+    arm_count = _count(arm_count, "arm_count", optional=True)
+    cutoff = _count(cutoff, "cutoff", optional=True)
     eta, gain = _distill_gain(arm_count, eta, gain)
     params = distill_params(chi, epsilon, gain)
     if cutoff is None:
@@ -303,6 +305,7 @@ def clone_coherent(
     """
     alpha = complex(alpha)
     gain = gain_from_eta(eta)
+    arm_count = _count(arm_count, "arm_count", optional=True)
     cutoff = _coherent_cutoff(
         (alpha, gain * alpha), arm_count, cutoff, "lower alpha or the gain"
     )
@@ -343,8 +346,7 @@ def postselected_prior_variance(prior_variance: float, gain: float) -> float:
     Gaussian with d' = d / (1 - (g**2 - 1) d); once (g**2 - 1) d >= 1 the
     reweighted distribution is not normalizable.
     """
-    if prior_variance < 0.0:
-        raise ValueError("variance must be nonnegative")
+    _real(prior_variance, "prior_variance", 0.0, math.inf, "[)")
     excess = (_gain_squared(gain) - 1.0) * prior_variance
     if excess >= 1.0:
         raise NonconvergentError(

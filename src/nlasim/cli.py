@@ -59,7 +59,7 @@ from .experiments import (
     fig3_table,
     fig4_table,
 )
-from .fock import _refuse_above
+from .fock import _count, _refuse_above
 from .nla import eta_from_gain
 from .verification import verify_table
 
@@ -84,12 +84,10 @@ def _finite_float(text: str) -> float:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        return _count(int(text), "count")
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+        message = f"expected a positive integer, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _parse_complex(text: str) -> complex:

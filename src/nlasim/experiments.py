@@ -23,8 +23,10 @@ from .applications import (
 from .fock import (
     DensityOperator,
     _coherent_cutoff,
+    _count,
     _epr_cutoff,
     _overlap_ratio,
+    _real,
     _refuse_above,
     coherent_state,
     epr_state,
@@ -81,9 +83,10 @@ def amplify_table(
     then a mixture and the table carries its purity and the overlap of
     the two branches.
     """
-    gain = gain_from_eta(eta)
+    gain, arms = gain_from_eta(eta), _count(arms, "arms")
     if (alpha is None) == (fock is None):
-        raise ValueError("exactly one of alpha / fock must be given")
+        raise ValueError("give exactly one of alpha / fock")
+    fock = _count(fock, "fock", 0, optional=True)
     if gamma and (alpha is None or asymptotic):
         raise ValueError("the misfire model needs a coherent input at finite arms")
     if alpha is None:
@@ -188,7 +191,8 @@ def fig3_table(
     targeted gain, for a family of input amplitudes."""
     if gains is None:
         gains = np.linspace(1.0, 3.5, 51)
-    gains = [float(g) for g in gains]
+    gains, arms = [float(g) for g in gains], _count(arms, "arms")
+    device_gains = [gain_from_eta(eta) for eta in etas]
     # sized for the largest gain; the smallest is checked too, since a
     # negative gain's target can be the largest amplitude
     hi, lo = max(gains), min(gains)
@@ -201,8 +205,7 @@ def fig3_table(
     what = f"a table of {n_rows} rows at cutoff {top}"
     _refuse_above(2**12 * (n_rows + top), MAX_TABLE_BYTES, what, most)
     rows = []
-    for eta in etas:
-        g_dev = gain_from_eta(eta)
+    for eta, g_dev in zip(etas, device_gains):
         for alpha, c in zip(map(complex, alphas), cutoffs):
             out = nla_apply(coherent_state(alpha, c), arms, eta)
             prob = norm_sq(out)
@@ -246,14 +249,12 @@ def fig4_table(
     """
     if gains is None:
         gains = np.linspace(1.0, 3.0, 9)
-    if not 0.0 <= loss <= 1.0:
-        raise ValueError("transmission must lie in [0, 1]")
+    _real(loss, "transmission", 0.0, 1.0)
+    _real(squeeze_r, "squeeze_r", 0.0, math.inf, "[)")
     chi_target = math.tanh(squeeze_r)
     rows = []
-    for swept in map(float, gains):
-        # the gain the amplifier realizes; rejects gain <= 0 before it can
-        # zero or negate the boost
-        eta, gain = _distill_gain(arms, None, swept)
+    # every gain checked before a point runs, and before it can zero the boost
+    for eta, gain in [_distill_gain(arms, None, g) for g in map(float, gains)]:
         chi_source = chi_target / math.sqrt(_boost(loss, _gain_squared(gain)))
         _, fid, report = distill_numeric(chi_source, loss, arms, eta, cutoff)
         prob = report.success_prob
@@ -312,8 +313,8 @@ def distill_table(
         "chi": chi,
         "loss": loss,
         "arms": arms_used,
-        "eta": eta,
-        # the gain the run amplified with and built its target at
+        # the eta and gain the run amplified with and built its target at
+        "eta": point.eta,
         "gain": point.gain,
         "chi_prime": params.chi_prime,
         "eps_prime": params.eps_prime,

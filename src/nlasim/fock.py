@@ -4,12 +4,14 @@ Everything is a dense complex array over number bases |0>, ..., |cutoff-1>;
 a density operator is held as a factor F with rho = F F+. Unnormalized
 states are first class: a heralded output keeps its raw norm, and the
 squared norm (or the trace, for density operators) is the heralding
-probability. Normalization is always an explicit call, never a side effect.
+probability. The library never normalizes a heralded output.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -70,9 +72,8 @@ class MultiModeState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        cutoffs = tuple(int(c) for c in self.mode_cutoffs)
-        if not cutoffs or any(c < 1 for c in cutoffs):
-            raise ValueError("each mode needs a cutoff >= 1")
+        cutoffs = tuple(_count(c, "mode_cutoffs") for c in self.mode_cutoffs)
+        _count(len(cutoffs), "len(mode_cutoffs)")
         object.__setattr__(self, "mode_cutoffs", cutoffs)
         amps = _frozen_array(self.amplitudes)
         if amps.shape != cutoffs:
@@ -108,9 +109,8 @@ class DensityOperator:
     factor: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        cutoffs = tuple(int(c) for c in self.basis_cutoffs)
-        if not cutoffs or any(c < 1 for c in cutoffs):
-            raise ValueError("each mode needs a cutoff >= 1")
+        cutoffs = tuple(_count(c, "basis_cutoffs") for c in self.basis_cutoffs)
+        _count(len(cutoffs), "len(basis_cutoffs)")
         object.__setattr__(self, "basis_cutoffs", cutoffs)
         dim = math.prod(cutoffs)
         fac = _frozen_array(self.factor)
@@ -139,15 +139,11 @@ class DensityOperator:
 
 def number_state(n: int, cutoff: int) -> MultiModeState:
     """Basis state |n> at the given cutoff."""
-    if not 0 <= n < cutoff:
+    if _count(n, "n", 0) >= _count(cutoff, "cutoff"):
         raise ValueError(f"photon number {n} outside basis of size {cutoff}")
     amps = np.zeros(cutoff, dtype=np.complex128)
     amps[n] = 1.0
     return MultiModeState((cutoff,), amps)
-
-
-def vacuum(cutoff: int = 1) -> MultiModeState:
-    return number_state(0, cutoff)
 
 
 def _poisson_kept(mu: float, cutoff: int | None = None) -> tuple[int, float]:
@@ -198,9 +194,7 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> MultiModeState:
     """
     alpha = complex(alpha)
     mu = _squared_modulus(alpha, "amplitude")
-    if cutoff is not None and cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    cutoff, kept = _poisson_kept(mu, cutoff)
+    cutoff, kept = _poisson_kept(mu, _count(cutoff, "cutoff", optional=True))
     if kept == 0.0:
         raise ValueError(
             f"coherent state of amplitude {abs(alpha):.6g} keeps no weight "
@@ -222,6 +216,7 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> MultiModeState:
 def minimal_epr_cutoff(chi: float) -> int:
     """Smallest cutoff keeping the dropped geometric tail below
     ``DEFAULT_TAIL_TOL``."""
+    _real(chi, "chi", 0.0, 1.0, "[)")
     if chi == 0.0:
         return 1
     cutoff = max(1, math.ceil(math.log(DEFAULT_TAIL_TOL) / (2.0 * math.log(chi))))
@@ -238,7 +233,8 @@ def epr_state(chi: float, cutoff: int | None = None) -> MultiModeState:
     mass is chi**(2 * cutoff); if it reaches ``DEFAULT_TAIL_TOL`` the state
     comes back unnormalized with a ``TruncationWarning``.
     """
-    diag = _epr_schmidt(chi, cutoff)
+    _real(chi, "chi", 0.0, 1.0, "[)")
+    diag = _epr_schmidt(chi, _count(cutoff, "cutoff", optional=True))
     amps = np.zeros((diag.size, diag.size), dtype=np.complex128)
     np.fill_diagonal(amps, diag)
     return MultiModeState(amps.shape, amps)
@@ -246,13 +242,9 @@ def epr_state(chi: float, cutoff: int | None = None) -> MultiModeState:
 
 def _epr_schmidt(chi: float, cutoff: int | None = None) -> np.ndarray:
     """Schmidt coefficients sqrt(1 - chi**2) * chi**n, n < cutoff, of
-    ``epr_state``, with its checks and its tail warning."""
-    if not 0.0 <= chi < 1.0:
-        raise ValueError(f"chi must lie in [0, 1), got {chi}")
+    ``epr_state``, with its tail warning, for a chi the caller has checked."""
     if cutoff is None:
         cutoff = minimal_epr_cutoff(chi)
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
     tail = chi ** (2 * cutoff)
     if tail >= DEFAULT_TAIL_TOL:
         warnings.warn(
@@ -263,7 +255,7 @@ def _epr_schmidt(chi: float, cutoff: int | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sizing: every automatic cutoff and every byte budget is decided here
+# sizing: every automatic cutoff, byte budget and argument range is here
 
 #: Largest automatic cutoff of distill, fig4, clone and the ``target_r``
 #: state. A finite-arm distillation point is computed from the
@@ -296,9 +288,7 @@ def _coherent_cutoff(amplitudes, arm_count, cutoff, remedy=None) -> int:
     mus = [_squared_modulus(a, "amplitude") for a in amplitudes]
     if cutoff is None:
         return _cap_auto_cutoff([_poisson_kept(mu)[0] for mu in mus], arm_count, remedy)
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    return cutoff
+    return _count(cutoff, "cutoff")
 
 
 def _epr_cutoff(chis, arm_count, remedy, held: int = 0) -> int:
@@ -316,8 +306,32 @@ def _refuse_above(nbytes: int, limit: int, what: str, remedy: str) -> None:
         )
 
 
+def _count(value, name: str, least: int = 1, *, optional: bool = False):
+    """``value`` as an int >= ``least`` by ``operator.index``, never a bool;
+    None passes if ``optional``. Raises TypeError or ValueError naming it."""
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    count = operator.index(value)
+    if count < least:
+        bound = f"a non-negative integer, got {count}" if least == 0 else f">= {least}"
+        raise ValueError(f"{name} must be {bound}")
+    return count
+
+
+def _real(value, name: str, low: float, high: float, ends: str = "[]") -> None:
+    """Refuse, naming ``name``, a ``value`` that is no real (TypeError) or lies
+    outside the interval ``ends[0] low, high ends[1]``, as NaN does (ValueError)."""
+    if not isinstance(value, (float, int, numbers.Real)):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    above = low < value if ends[0] == "(" else low <= value
+    if not (above and (value < high if ends[1] == ")" else value <= high)):
+        raise ValueError(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
+
+
 # ---------------------------------------------------------------------------
-# composition
+# scalar functionals
 
 
 def _pure(state) -> MultiModeState:
@@ -326,29 +340,10 @@ def _pure(state) -> MultiModeState:
     return state
 
 
-def tensor(a, b) -> MultiModeState:
-    """Kronecker composition of two pure states; cutoff lists concatenate."""
-    ma, mb = _pure(a), _pure(b)
-    amps = np.multiply.outer(ma.amplitudes, mb.amplitudes)
-    return MultiModeState(ma.mode_cutoffs + mb.mode_cutoffs, amps)
-
-
-# ---------------------------------------------------------------------------
-# scalar functionals
-
-
 def norm_sq(state) -> float:
     """Sum of |amplitude|**2 of a pure state."""
     flat = _pure(state).amplitudes.reshape(-1)
     return float(np.vdot(flat, flat).real)
-
-
-def normalize(state) -> MultiModeState:
-    """Explicitly normalized copy of a pure state."""
-    n2 = norm_sq(state)
-    if n2 <= 0.0:
-        raise ValueError("cannot normalize a zero state")
-    return MultiModeState(state.mode_cutoffs, state.amplitudes / math.sqrt(n2))
 
 
 def _factor(state) -> tuple[np.ndarray, tuple]:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonconvergentError
-from .fock import MultiModeState, _pure, _squared_modulus, norm_sq
+from .fock import MultiModeState, _count, _pure, _real, _squared_modulus, norm_sq
 from .optics import _mix_rows
 
 #: Largest arm count the brute-force circuit will simulate by default.
@@ -42,18 +42,19 @@ ORACLE_ARM_LIMIT = 5
 
 
 def gain_from_eta(eta: float) -> float:
-    """Amplitude gain g = sqrt((1 - eta) / eta) of a scissors stage."""
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
-    return math.sqrt((1.0 - eta) / eta)
+    """Amplitude gain g = sqrt((1 - eta) / eta) of a scissors stage, if finite."""
+    _real(eta, "eta", 0.0, 1.0, "()")
+    gain = math.sqrt((1.0 - eta) / eta)
+    if gain == math.inf:
+        raise ValueError(f"eta {eta:.6g} gives no finite gain")
+    return gain
 
 
 def _gain_squared(gain: float) -> float:
     """g**2 of a positive gain; a gain whose square is not finite or is 0
     is rejected rather than left to overflow or to divide by zero."""
-    if gain <= 0.0:
-        raise ValueError("gain must be positive")
     squared = _squared_modulus(gain, "gain")
+    _real(gain, "gain", 0.0, math.inf, "()")
     if squared == 0.0:
         raise ValueError(f"gain {gain:.6g} has no nonzero finite square")
     return squared
@@ -70,12 +71,8 @@ def nla_operator(arm_count: int, eta: float, cutoff: int) -> np.ndarray:
     coeffs[n] = eta**(N/2) * N! / ((N - n)! * N**n) * g**n for n <= N,
     zero above: each arm passes at most one photon.
     """
-    if arm_count < 1:
-        raise ValueError("arm_count must be >= 1")
-    g = gain_from_eta(eta)
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    coeffs = np.zeros(cutoff)
+    arm_count, g = _count(arm_count, "arm_count"), gain_from_eta(eta)
+    coeffs = np.zeros(_count(cutoff, "cutoff"))
     top = min(arm_count, cutoff - 1)
     for n in range(top + 1):
         log_c = (
@@ -137,8 +134,7 @@ def nla_apply_asymptotic(state, gain: float) -> MultiModeState:
     is renormalized. Raises ``NonconvergentError`` if the scaled tail
     fails to decay within the cutoff.
     """
-    if gain <= 0.0:
-        raise ValueError("gain must be positive")
+    _real(gain, "gain", 0.0, math.inf, "()")
     mm = _pure(state)
     amps = mm.amplitudes.copy()
     _ideal_map(amps, gain, 0)
@@ -293,14 +289,11 @@ def physical_circuit(
     squared norm of the summed pattern probabilities: the total success
     probability.
     """
-    if arm_count < 1:
-        raise ValueError("arm_count must be >= 1")
-    if arm_count > oracle_limit:
+    if _count(arm_count, "arm_count") > _count(oracle_limit, "oracle_limit"):
         raise ValueError(
             f"arm_count {arm_count} exceeds the oracle limit {oracle_limit}"
         )
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
+    _real(eta, "eta", 0.0, 1.0, "()")
     if _pure(inp).n_modes != 1:
         raise ValueError("the circuit oracle takes a single-mode input")
     if norm_sq(inp) <= 0.0:
@@ -332,20 +325,16 @@ def misfire_terms(
     nothing and one arm contributes vacuum, so one binomial factor drops
     from the product while the arm-count scaling of the amplitude stays.
     """
-    if arm_count < 1:
-        raise ValueError("arm_count must be >= 1")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
+    arm_count, g = _count(arm_count, "arm_count"), gain_from_eta(eta)
+    _real(gamma, "gamma", 0.0, 1.0, "[)")
     alpha = complex(alpha)
     envelope = math.exp(-_squared_modulus(alpha, "amplitude") / 2.0)
+    cutoff = arm_count + 1 if cutoff is None else _count(cutoff, "cutoff")
     if gamma > 0.1:
         warnings.warn(
             "first-order misfire model is unreliable for gamma > 0.1",
             UserWarning,
         )
-    g = gain_from_eta(eta)
-    if cutoff is None:
-        cutoff = arm_count + 1
 
     def branch(arms: int, weight: float) -> MultiModeState:
         amps = np.zeros(cutoff, dtype=np.complex128)

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .fock import MultiModeState, _pure
+from .fock import MultiModeState, _pure, _real
 
 #: Largest cutoff a loss takes: the binomial sqrt(C(n, n // 2)) of n = 2,054
 #: photons exceeds the largest float64, whatever the transmission.
@@ -61,8 +61,8 @@ def _lose(amps: np.ndarray, epsilon, kept: int | None = None) -> np.ndarray:
 
     Only the first ``kept`` columns a are built (all of them by default),
     so a caller that reads a < N + 1 alone builds (cutoff, N + 1) numbers.
-    ``epsilon`` may be an array of transmissions, one per leading index
-    of ``amps``: the rows then share one binomial table.
+    ``epsilon`` may be an array of transmissions in [0, 1], one per leading
+    index of ``amps``: the rows then share one binomial table.
 
     The binomial comes from log factorials L, which cannot overflow as
     float(C(n, k)) does past n ~ 1030; L[k] + L[a] is symmetric in k and
@@ -70,8 +70,6 @@ def _lose(amps: np.ndarray, epsilon, kept: int | None = None) -> np.ndarray:
     so a 50:50 split is mirror-exact to the last bit (equal clones).
     """
     epsilon = np.asarray(epsilon, dtype=np.float64)
-    if not 0.0 <= epsilon.min() <= epsilon.max() <= 1.0:
-        raise ValueError("transmission must lie in [0, 1]")
     cutoff = amps.shape[-1]
     if cutoff > MAX_LOSS_CUTOFF:
         raise ValueError(f"loss binomials overflow above cutoff {MAX_LOSS_CUTOFF:,}")
@@ -106,6 +104,7 @@ def loss_channel(state, epsilon: float) -> MultiModeState:
     sqrt(C(n, k)) (1-eps)**(k/2) eps**((n-k)/2). Tracing that mode out
     gives the lossy state.
     """
+    _real(epsilon, "transmission", 0.0, 1.0)
     mm = _pure(state)
     # laid out (other modes, environment, mode): move the kept photons back
     out = np.moveaxis(_lose(np.moveaxis(mm.amplitudes, 0, -1), epsilon), -1, 0)

@@ -16,7 +16,7 @@ import numpy as np
 from .applications import _distill_point, distill_params, postselected_prior_variance
 from .errors import NonconvergentError
 from .experiments import TableResult
-from .fock import MultiModeState, epr_state, fidelity, norm_sq
+from .fock import MultiModeState, _count, epr_state, fidelity, norm_sq
 from . import nla
 
 ORACLE_FIDELITY_TOL = 1e-10
@@ -127,8 +127,7 @@ def verify_table(*, arms: int | None = None, seed: int = 0) -> TableResult:
     photon number g**2 d'. Only the oracle sweep draws random inputs, from
     ``seed``, which must be a non-negative integer.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    arms, seed = _count(arms, "arms", optional=True), _count(seed, "seed", 0)
     rows = []
 
     def check(name: str, passed: bool, deviation: float, detail: str):

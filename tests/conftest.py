@@ -12,9 +12,11 @@ from nlasim import (
     TruncationError,
     epr_state,
     loss_channel,
+    norm_sq,
+    number_state,
     postselected_prior_variance,
 )
-from nlasim.fock import _factor
+from nlasim.fock import _factor, _pure
 
 
 @pytest.fixture
@@ -55,6 +57,29 @@ def random_density(rng, cutoffs, rank=3) -> DensityOperator:
         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         columns.append(np.sqrt(w) * vec / np.linalg.norm(vec))
     return DensityOperator(tuple(cutoffs), np.stack(columns, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# pure-state helpers that no library code needs
+
+
+def vacuum(cutoff: int = 1) -> MultiModeState:
+    return number_state(0, cutoff)
+
+
+def tensor(a, b) -> MultiModeState:
+    """Kronecker composition of two pure states; cutoff lists concatenate."""
+    ma, mb = _pure(a), _pure(b)
+    amps = np.multiply.outer(ma.amplitudes, mb.amplitudes)
+    return MultiModeState(ma.mode_cutoffs + mb.mode_cutoffs, amps)
+
+
+def normalize(state) -> MultiModeState:
+    """Explicitly normalized copy of a pure state."""
+    n2 = norm_sq(state)
+    if n2 <= 0.0:
+        raise ValueError("cannot normalize a zero state")
+    return MultiModeState(state.mode_cutoffs, state.amplitudes / math.sqrt(n2))
 
 
 # ---------------------------------------------------------------------------

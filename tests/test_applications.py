@@ -25,8 +25,6 @@ from nlasim import (
     nla_operator,
     norm_sq,
     postselected_prior_variance,
-    tensor,
-    vacuum,
 )
 from nlasim.experiments import distill_table, fig4_table
 from conftest import (
@@ -37,6 +35,8 @@ from conftest import (
     partial_trace,
     purity_product,
     sample_postselected_variance,
+    tensor,
+    vacuum,
 )
 
 
@@ -197,6 +197,7 @@ class TestDistillNumeric:
         row = distill_table(chi=chi, loss=loss, arms=arms, eta=None, gain=gain).rows[0]
         params = distill_params(chi, loss, used)
         assert row["gain"] == used
+        assert row["eta"] == eta_from_gain(gain)
         assert row["chi_prime"] == params.chi_prime
         assert row["eps_prime"] == params.eps_prime
 

@@ -498,6 +498,17 @@ def test_bad_target_r_is_named_before_the_point_runs(capsys):
     assert err.startswith("nlasim: configuration error: tanh(target_r) = ")
 
 
+def test_distill_at_a_gain_prints_the_eta_it_amplified_with(capsys):
+    # at finite arm count a gain is realized through eta = 1 / (1 + g**2);
+    # the eta cell was once left empty
+    argv = "distill --chi 0.3513 --loss 0.0921 --arms 3 --gain 0.855 --cutoff 10"
+    code, out, _ = run_cli(argv.split(), capsys)
+    assert code == 0
+    row = next(csv.DictReader(l for l in out.splitlines() if not l.startswith("#")))
+    assert row["eta"] == format(nlasim.nla.eta_from_gain(0.855), ".12g")
+    assert row["gain"] == "0.855"
+
+
 def test_distill_builds_the_factor_only_for_target_r(monkeypatch, capsys):
     # the row reads the point's sector columns and the gain and effective
     # parameters it ran at; only the target_r fidelity takes the factor

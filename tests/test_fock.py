@@ -18,16 +18,14 @@ from nlasim import (
     minimal_epr_cutoff,
     nla_apply,
     norm_sq,
-    normalize,
     number_state,
-    tensor,
-    vacuum,
 )
 from conftest import (
     dense,
     dense_purity_product,
     density_from_state,
     mixed_fidelity,
+    normalize,
     pad_state,
     partial_trace,
     purity,
@@ -35,6 +33,8 @@ from conftest import (
     random_density,
     random_fock,
     random_multimode,
+    tensor,
+    vacuum,
 )
 
 

@@ -1,9 +1,9 @@
 """Import hygiene of the package sources: no module imports a name it never
 uses or a package beyond the standard library and numpy, the package exports
 exactly what its ``__init__`` imports, no private helper or module constant
-is left with no reader, only ``fock`` sizes a run, no module calls
-``numpy.linalg``, only the oracle sweep makes a random generator and
-every cache is bounded."""
+is left with no reader, only ``fock`` sizes a run or checks an argument's
+range, no module calls ``numpy.linalg``, only the oracle sweep makes a
+random generator and every cache is bounded."""
 
 import ast
 import sys
@@ -138,6 +138,54 @@ def test_only_fock_sizes_a_run(path):
                 if name.startswith("MAX_") and name.endswith("_BYTES"):
                     sizing.append(f"line {node.lineno}: compares with {name}")
     assert not sizing, f"{path.name} sizes a run outside fock.py: {sizing}"
+
+
+def _refusals(tree):
+    """(top-level definition, line, message text) of every raise of a
+    ValueError, one of the package's ValueErrors or a TypeError whose
+    message is a literal or an f-string; the text keeps only its literal
+    parts."""
+    errors = {
+        "ValueError", "TypeError", "ConfigError", "NonconvergentError", "TruncationError"
+    }
+    for top in tree.body:
+        for node in ast.walk(top):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if not (isinstance(exc, ast.Call) and _name(exc.func) in errors and exc.args):
+                continue
+            message = exc.args[0]
+            if isinstance(message, ast.Constant) and isinstance(message.value, str):
+                yield getattr(top, "name", None), node.lineno, message.value
+            elif isinstance(message, ast.JoinedStr):
+                literal = [p.value for p in message.values if isinstance(p, ast.Constant)]
+                yield getattr(top, "name", None), node.lineno, "".join(literal)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_validators_say_must(path):
+    # which arguments the library takes is decided by fock's two
+    # validators, _count and _real; anywhere else a "must" in a refusal is
+    # a range check of its own
+    allowed = {"_count", "_real"} if path.name == "fock.py" else set()
+    own = [
+        f"line {line}: {text!r}"
+        for top, line, text in _refusals(ast.parse(path.read_text()))
+        if "must" in text and top not in allowed
+    ]
+    assert not own, f"{path.name} checks arguments outside the validators: {own}"
+
+
+def test_refusal_scan_reads_literals_and_f_strings():
+    source = (
+        "def f(x):\n"
+        "    raise ValueError(f'{x} must be >= 1')\n"
+        "    raise nlasim.ConfigError('x must lie in [0, 1]')\n"
+        "    raise TypeError(message)\n"
+    )
+    assert list(_refusals(ast.parse(source))) == [
+        ("f", 2, " must be >= 1"),
+        ("f", 3, "x must lie in [0, 1]"),
+    ]
 
 
 @pytest.mark.parametrize("name", ["nla.py", "optics.py"])

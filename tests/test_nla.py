@@ -17,11 +17,9 @@ from nlasim import (
     nla_operator,
     norm_sq,
     number_state,
-    tensor,
-    vacuum,
 )
 from nlasim.experiments import amplify_table
-from conftest import random_fock
+from conftest import random_fock, tensor, vacuum
 
 
 class TestOperatorCoefficients:

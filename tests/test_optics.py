@@ -15,8 +15,6 @@ from nlasim import (
     nla_apply,
     norm_sq,
     number_state,
-    tensor,
-    vacuum,
 )
 from nlasim.optics import MAX_LOSS_CUTOFF, _mix_rows
 from conftest import (
@@ -27,6 +25,8 @@ from conftest import (
     partial_trace,
     random_fock,
     random_multimode,
+    tensor,
+    vacuum,
 )
 
 

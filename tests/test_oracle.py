@@ -18,8 +18,6 @@ from nlasim import (
     norm_sq,
     number_state,
     physical_circuit,
-    tensor,
-    vacuum,
 )
 from nlasim.nla import (
     ORACLE_ARM_LIMIT,
@@ -34,7 +32,14 @@ from nlasim.verification import (
     oracle_equivalence_report,
     random_support_state,
 )
-from conftest import beamsplitter, even_splitter, pad_state, project_number
+from conftest import (
+    beamsplitter,
+    even_splitter,
+    pad_state,
+    project_number,
+    tensor,
+    vacuum,
+)
 
 
 def flip_odd(state: MultiModeState, mode: int) -> MultiModeState:
